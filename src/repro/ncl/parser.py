@@ -35,6 +35,7 @@ from repro.ncl.types import (
     Type,
     VOID,
 )
+from repro.util import intops
 
 #: Braced-initializer tree: either an expression or a nested list of these.
 InitTree = Union[ast.Expr, List["InitTree"]]
@@ -672,7 +673,8 @@ def _combine_type_words(words: List[str], loc: SourceLocation) -> Type:
 
 def const_eval(expr: ast.Expr) -> Optional[int]:
     """Evaluate an expression tree of literals at parse time (array dims,
-    template arguments). Returns None if not constant."""
+    template arguments, file-scope initializers) in 64-bit signed C
+    arithmetic. Returns None if not constant."""
     if isinstance(expr, ast.IntLit):
         return expr.value
     if isinstance(expr, ast.BoolLit):
@@ -681,68 +683,29 @@ def const_eval(expr: ast.Expr) -> Optional[int]:
         value = const_eval(expr.operand)
         if value is None:
             return None
-        if expr.op == "-":
-            return -value
-        if expr.op == "~":
-            return ~value
         if expr.op == "!":
             return int(not value)
+        if expr.op in intops.C_UNOPS:
+            return intops.UNOPS[intops.C_UNOPS[expr.op]](value, 64, True)
         return None
     if isinstance(expr, ast.Binary):
         lhs = const_eval(expr.lhs)
         rhs = const_eval(expr.rhs)
         if lhs is None or rhs is None:
             return None
+        if expr.op == "&&":
+            return int(bool(lhs) and bool(rhs))
+        if expr.op == "||":
+            return int(bool(lhs) or bool(rhs))
         try:
-            return _fold_const_binop(expr.op, lhs, rhs)
-        except ZeroDivisionError:
+            return intops.BINOPS[intops.c_binop(expr.op, True)](lhs, rhs, 64, True)
+        except (KeyError, ZeroDivisionError):
             return None
     if isinstance(expr, ast.Ternary):
         cond = const_eval(expr.cond)
         if cond is None:
             return None
         return const_eval(expr.then if cond else expr.other)
-    return None
-
-
-def _fold_const_binop(op: str, lhs: int, rhs: int) -> Optional[int]:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        q = abs(lhs) // abs(rhs)
-        return -q if (lhs < 0) != (rhs < 0) else q
-    if op == "%":
-        return lhs - rhs * _fold_const_binop("/", lhs, rhs)  # type: ignore[operator]
-    if op == "<<":
-        return lhs << rhs
-    if op == ">>":
-        return lhs >> rhs
-    if op == "&":
-        return lhs & rhs
-    if op == "|":
-        return lhs | rhs
-    if op == "^":
-        return lhs ^ rhs
-    if op == "==":
-        return int(lhs == rhs)
-    if op == "!=":
-        return int(lhs != rhs)
-    if op == "<":
-        return int(lhs < rhs)
-    if op == "<=":
-        return int(lhs <= rhs)
-    if op == ">":
-        return int(lhs > rhs)
-    if op == ">=":
-        return int(lhs >= rhs)
-    if op == "&&":
-        return int(bool(lhs) and bool(rhs))
-    if op == "||":
-        return int(bool(lhs) or bool(rhs))
     return None
 
 

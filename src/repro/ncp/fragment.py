@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import NcpError
+from repro.errors import NcpError, ReproError
 from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
 from repro.util.bits import pack_fields, unpack_fields
 
@@ -101,14 +101,16 @@ def fragment_frame(frame: bytes, mtu: int) -> List[bytes]:
 
 
 def is_fragment(data: bytes) -> bool:
+    """Whether *data* is an NCP fragment; a frame too short to hold the
+    headers is not."""
     try:
         _, rest = unpack_fields(ETH_FIELDS, data)
         _, rest = unpack_fields(IPV4_FIELDS, rest)
         _, rest = unpack_fields(UDP_FIELDS, rest)
         ncp, _ = unpack_fields(NCP_FIELDS, rest)
-        return bool(ncp["flags"] & FLAG_FRAG)
-    except Exception:
+    except ReproError:  # the codec's short-buffer error
         return False
+    return bool(ncp["flags"] & FLAG_FRAG)
 
 
 class Reassembler:

@@ -13,7 +13,7 @@ catch miscompiled indices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, MutableSequence, Optional, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.errors import PisaError
 from repro.ncl.types import (
@@ -274,11 +274,9 @@ class _FrameInterp:
 
     def execute(self, instr: ir.Instr):
         if isinstance(instr, ir.BinOp):
-            self.values[instr.id] = self.exec_binop(instr)
-        elif isinstance(instr, ir.UnOp):
-            self.values[instr.id] = self.exec_unop(instr)
-        elif isinstance(instr, ir.Cast):
-            self.values[instr.id] = self.exec_cast(instr)
+            self.values[instr.id] = instr.evaluate(self.int_of(instr.lhs), self.int_of(instr.rhs))
+        elif isinstance(instr, (ir.UnOp, ir.Cast)):
+            self.values[instr.id] = instr.evaluate(self.int_of(instr.operands[0]))
         elif isinstance(instr, ir.Select):
             cond = self.int_of(instr.operands[0])
             self.values[instr.id] = self.value_of(
@@ -357,86 +355,6 @@ class _FrameInterp:
         if not (isinstance(token, tuple) and token and token[0] == "maptok"):
             raise PisaError("expected a Map lookup token")
         return token  # type: ignore[return-value]
-
-    def exec_binop(self, instr: ir.BinOp) -> int:
-        a = self.int_of(instr.lhs)
-        b = self.int_of(instr.rhs)
-        op = instr.op
-        ty = instr.ty
-        if op in ir.BinOp.COMPARES:
-            # Operands were coerced to a common type at lowering; compare
-            # directly (signedness baked into the op choice).
-            table: Dict[str, Callable[[int, int], bool]] = {
-                "eq": lambda x, y: x == y,
-                "ne": lambda x, y: x != y,
-                "ult": lambda x, y: x < y,
-                "ule": lambda x, y: x <= y,
-                "ugt": lambda x, y: x > y,
-                "uge": lambda x, y: x >= y,
-                "slt": lambda x, y: x < y,
-                "sle": lambda x, y: x <= y,
-                "sgt": lambda x, y: x > y,
-                "sge": lambda x, y: x >= y,
-            }
-            if op.startswith("u"):
-                bits = 64
-                a = intops.to_unsigned(a, bits)
-                b = intops.to_unsigned(b, bits)
-            return int(table[op](a, b))
-        bits = scalar_bits(ty)
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "udiv":
-            raw = intops.checked_udiv(intops.to_unsigned(a, bits), intops.to_unsigned(b, bits))
-        elif op == "sdiv":
-            raw = intops.checked_sdiv(a, b)
-        elif op == "urem":
-            ua, ub = intops.to_unsigned(a, bits), intops.to_unsigned(b, bits)
-            intops.checked_udiv(ua, ub)
-            raw = ua % ub
-        elif op == "srem":
-            raw = intops.checked_srem(a, b)
-        elif op == "shl":
-            raw = a << intops.shift_amount(b, bits)
-        elif op == "lshr":
-            raw = intops.to_unsigned(a, bits) >> intops.shift_amount(b, bits)
-        elif op == "ashr":
-            raw = intops.wrap_signed(a, bits) >> intops.shift_amount(b, bits)
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        else:
-            raise PisaError(f"unknown binop {op}")
-        return self._wrap(raw, ty)
-
-    def exec_unop(self, instr: ir.UnOp) -> int:
-        a = self.int_of(instr.operands[0])
-        if instr.op == "neg":
-            return self._wrap(-a, instr.ty)
-        if instr.op == "not":
-            return self._wrap(~a, instr.ty)
-        return int(not a)
-
-    def exec_cast(self, instr: ir.Cast) -> int:
-        a = self.int_of(instr.operands[0])
-        src_ty = instr.operands[0].ty
-        if instr.kind == "bool":
-            return int(a != 0)
-        src_bits = scalar_bits(src_ty) if src_ty.is_scalar else 64
-        if instr.kind == "zext":
-            raw = intops.to_unsigned(a, src_bits)
-        elif instr.kind == "sext":
-            raw = intops.wrap_signed(a, src_bits)
-        else:  # trunc
-            raw = a
-        return self._wrap(raw, instr.ty)
 
     def exec_load_elem(self, instr: ir.LoadElem) -> int:
         array = self._array(instr.ref)

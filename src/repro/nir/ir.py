@@ -46,7 +46,10 @@ from repro.ncl.types import (
     PointerType,
     Type,
     U16,
+    is_signed,
+    scalar_bits,
 )
+from repro.util import intops
 
 
 class FwdKind(Enum):
@@ -176,8 +179,8 @@ class BinOp(Instr):
     eq ne ult ule ugt uge slt sle sgt sge
     """
 
-    COMPARES = frozenset("eq ne ult ule ugt uge slt sle sgt sge".split())
-    ARITH = frozenset("add sub mul udiv sdiv urem srem shl lshr ashr and or xor".split())
+    COMPARES = intops.COMPARES
+    ARITH = frozenset(intops.BINOPS) - COMPARES
 
     def __init__(self, op: str, lhs: Value, rhs: Value, ty: Type):
         if op not in self.COMPARES and op not in self.ARITH:
@@ -186,6 +189,11 @@ class BinOp(Instr):
         self.op = op
 
     mnemonic = "binop"
+
+    def evaluate(self, a: int, b: int) -> int:
+        """This op on concrete operands (repro.util.intops semantics)."""
+        ty = self.operands[0].ty  # both operands share one type after lowering
+        return intops.BINOPS[self.op](a, b, scalar_bits(ty), is_signed(ty))
 
     @property
     def lhs(self) -> Value:
@@ -203,12 +211,16 @@ class UnOp(Instr):
     """``neg`` (two's complement), ``not`` (bitwise), ``lnot`` (logical)."""
 
     def __init__(self, op: str, operand: Value, ty: Type):
-        if op not in ("neg", "not", "lnot"):
+        if op not in intops.UNOPS:
             raise IrError(f"unknown unop {op!r}")
         super().__init__(BOOL if op == "lnot" else ty, (operand,))
         self.op = op
 
     mnemonic = "unop"
+
+    def evaluate(self, a: int) -> int:
+        """This op on a concrete operand (repro.util.intops semantics)."""
+        return intops.UNOPS[self.op](a, scalar_bits(self.ty), is_signed(self.ty))
 
     def render(self) -> str:
         return f"%{self.id} = {self.op} {self.operands[0].short()}"
@@ -223,13 +235,19 @@ class Cast(Instr):
     """
 
     def __init__(self, kind: str, operand: Value, to_ty: Type, explicit: bool = False):
-        if kind not in ("zext", "sext", "trunc", "bool"):
+        if kind not in intops.CASTS:
             raise IrError(f"unknown cast kind {kind!r}")
         super().__init__(to_ty, (operand,))
         self.kind = kind
         self.explicit = explicit
 
     mnemonic = "cast"
+
+    def evaluate(self, a: int) -> int:
+        """This cast on a concrete operand (repro.util.intops semantics)."""
+        src_ty = self.operands[0].ty
+        src_bits = scalar_bits(src_ty) if src_ty.is_scalar else 64
+        return intops.CASTS[self.kind](a, src_bits, scalar_bits(self.ty), is_signed(self.ty))
 
     def render(self) -> str:
         return f"%{self.id} = {self.kind} {self.operands[0].short()} to {self.ty!r}"

@@ -37,6 +37,7 @@ from repro.ncl.types import (
     scalar_bits,
 )
 from repro.nir import ir
+from repro.util import intops
 
 
 #: What lenient lowering swallows: type errors plus the internal faults a
@@ -432,13 +433,11 @@ class FunctionLowerer:
         operand = self.lower_expr(expr.operand)
         if op == "!":
             return self.emit(ir.UnOp("lnot", self.as_bool(operand), BOOL))
+        if op not in intops.C_UNOPS:
+            raise NclTypeError(f"cannot lower unary {op!r}", expr.loc)
         ty = expr.ty or operand.ty
         operand = self.coerce(operand, ty, expr.operand)
-        if op == "-":
-            return self.emit(ir.UnOp("neg", operand, ty))
-        if op == "~":
-            return self.emit(ir.UnOp("not", operand, ty))
-        raise NclTypeError(f"cannot lower unary {op!r}", expr.loc)
+        return self.emit(ir.UnOp(intops.C_UNOPS[op], operand, ty))
 
     def lower_deref(self, pointer_expr: ast.Expr, ctx: ast.Expr) -> ir.Value:
         pointer = self.lower_pointer(pointer_expr)
@@ -507,16 +506,7 @@ class FunctionLowerer:
         ty = common_type(lhs.ty, rhs.ty)
         lhs = self.coerce(lhs, ty, expr.lhs)
         rhs = self.coerce(rhs, ty, expr.rhs)
-        signed = is_signed(ty)
-        ir_op = {
-            "==": "eq",
-            "!=": "ne",
-            "<": "slt" if signed else "ult",
-            "<=": "sle" if signed else "ule",
-            ">": "sgt" if signed else "ugt",
-            ">=": "sge" if signed else "uge",
-        }[op]
-        return self.emit(ir.BinOp(ir_op, lhs, rhs, ty))
+        return self.emit(ir.BinOp(intops.c_binop(op, is_signed(ty)), lhs, rhs, ty))
 
     def lower_assign(self, expr: ast.Assign) -> ir.Value:
         access = self.resolve_access(expr.target)
@@ -817,41 +807,22 @@ class FunctionLowerer:
     def coerce(self, value: ir.Value, to_ty: Type, ctx: ast.Expr) -> ir.Value:
         if value.ty == to_ty or not to_ty.is_scalar:
             return value
-        if isinstance(value, ir.Const):
-            from repro.util.intops import wrap
-
-            bits = scalar_bits(to_ty)
-            return ir.Const(to_ty, wrap(value.value, bits, is_signed(to_ty)))
-        if to_ty == BOOL:
+        if to_ty == BOOL and not isinstance(value, ir.Const):
             return self.as_bool(value)
-        from_bits = scalar_bits(value.ty)
-        to_bits = scalar_bits(to_ty)
-        if from_bits == to_bits:
-            kind = "zext"  # same width re-signing: bit pattern preserved
-        elif from_bits < to_bits:
-            kind = "sext" if is_signed(value.ty) else "zext"
-        else:
-            kind = "trunc"
+        from_bits, to_bits = scalar_bits(value.ty), scalar_bits(to_ty)
+        kind = intops.cast_kind(from_bits, is_signed(value.ty), to_bits, to_ty == BOOL)
+        if isinstance(value, ir.Const):
+            cast = intops.CASTS[kind]
+            return ir.Const(to_ty, cast(value.value, from_bits, to_bits, is_signed(to_ty)))
         return self.emit(ir.Cast(kind, value, to_ty))
 
 
 def _arith_op(op: str, ty: Type, loc=None) -> str:
     signed = is_signed(ty) if ty.is_scalar else False
-    table = {
-        "+": "add",
-        "-": "sub",
-        "*": "mul",
-        "/": "sdiv" if signed else "udiv",
-        "%": "srem" if signed else "urem",
-        "<<": "shl",
-        ">>": "ashr" if signed else "lshr",
-        "&": "and",
-        "|": "or",
-        "^": "xor",
-    }
-    if op not in table:
-        raise NclTypeError(f"unknown arithmetic operator {op!r}", loc)
-    return table[op]
+    try:
+        return intops.c_binop(op, signed)
+    except KeyError:
+        raise NclTypeError(f"unknown arithmetic operator {op!r}", loc) from None
 
 
 def _flatten_init(gvar: ast.GlobalVar) -> Optional[List[int]]:

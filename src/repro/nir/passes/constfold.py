@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.ncl.types import BOOL, is_signed, scalar_bits
+from repro.ncl.types import BOOL, scalar_bits
 from repro.nir import ir
 from repro.util import intops
 
@@ -62,33 +62,9 @@ def _const(value: ir.Value) -> Optional[int]:
 def _try_fold(instr: ir.Instr) -> Optional[ir.Value]:
     if isinstance(instr, ir.BinOp):
         return _fold_binop(instr)
-    if isinstance(instr, ir.UnOp):
+    if isinstance(instr, (ir.UnOp, ir.Cast)):
         a = _const(instr.operands[0])
-        if a is None:
-            return None
-        if instr.op == "neg":
-            raw = -a
-        elif instr.op == "not":
-            raw = ~a
-        else:
-            return ir.Const(BOOL, int(not a))
-        return _wrap_const(raw, instr.ty)
-    if isinstance(instr, ir.Cast):
-        a = _const(instr.operands[0])
-        if a is None:
-            # zext/trunc of a bool-typed value to same width etc. -- leave.
-            return None
-        src_ty = instr.operands[0].ty
-        if instr.kind == "bool":
-            return ir.Const(BOOL, int(a != 0))
-        src_bits = scalar_bits(src_ty) if src_ty.is_scalar else 64
-        if instr.kind == "zext":
-            raw = intops.to_unsigned(a, src_bits)
-        elif instr.kind == "sext":
-            raw = intops.wrap_signed(a, src_bits)
-        else:
-            raw = a
-        return _wrap_const(raw, instr.ty)
+        return None if a is None else ir.Const(instr.ty, instr.evaluate(a))
     if isinstance(instr, ir.Select):
         cond = _const(instr.operands[0])
         if cond is not None:
@@ -104,7 +80,10 @@ def _fold_binop(instr: ir.BinOp) -> Optional[ir.Value]:
     b = _const(instr.rhs)
     ty = instr.ty
     if a is not None and b is not None:
-        return _fold_const_pair(instr.op, a, b, instr)
+        try:
+            return ir.Const(ty, instr.evaluate(a, b))
+        except ZeroDivisionError:
+            return None  # leave the trap in place; the interpreter will raise
     # Algebraic identities with one constant side.
     op = instr.op
     if op == "add":
@@ -166,67 +145,6 @@ def _materialize(new: ir.Instr, old: ir.Instr) -> ir.Instr:
     new.block = block
     block.instrs.insert(idx, new)
     return new
-
-
-def _fold_const_pair(op: str, a: int, b: int, instr: ir.BinOp) -> Optional[ir.Value]:
-    ty = instr.ty
-    bits = scalar_bits(ty) if ty.is_scalar else 64
-    try:
-        if op in ir.BinOp.COMPARES:
-            if op.startswith("u"):
-                ua, ub = intops.to_unsigned(a, 64), intops.to_unsigned(b, 64)
-            else:
-                ua, ub = a, b
-            result = {
-                "eq": a == b,
-                "ne": a != b,
-                "ult": ua < ub,
-                "ule": ua <= ub,
-                "ugt": ua > ub,
-                "uge": ua >= ub,
-                "slt": ua < ub,
-                "sle": ua <= ub,
-                "sgt": ua > ub,
-                "sge": ua >= ub,
-            }[op]
-            return ir.Const(BOOL, int(result))
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "udiv":
-            raw = intops.checked_udiv(intops.to_unsigned(a, bits), intops.to_unsigned(b, bits))
-        elif op == "sdiv":
-            raw = intops.checked_sdiv(a, b)
-        elif op == "urem":
-            raw = intops.to_unsigned(a, bits) % intops.to_unsigned(b, bits)
-        elif op == "srem":
-            raw = intops.checked_srem(a, b)
-        elif op == "shl":
-            raw = a << intops.shift_amount(b, bits)
-        elif op == "lshr":
-            raw = intops.to_unsigned(a, bits) >> intops.shift_amount(b, bits)
-        elif op == "ashr":
-            raw = intops.wrap_signed(a, bits) >> intops.shift_amount(b, bits)
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        else:
-            return None
-    except ZeroDivisionError:
-        return None  # leave the trap in place; the interpreter will raise
-    return _wrap_const(raw, ty)
-
-
-def _wrap_const(raw: int, ty) -> ir.Const:
-    if ty.is_scalar:
-        return ir.Const(ty, intops.wrap(raw, scalar_bits(ty), is_signed(ty)))
-    return ir.Const(ty, raw)
 
 
 def _values_equal(a: ir.Value, b: ir.Value) -> bool:

@@ -113,67 +113,21 @@ class Pipeline:
                 raise PisaError(f"unbound action parameter {expr.name!r}")
             return intops.wrap_unsigned(args[expr.name], expr.bits)
         if isinstance(expr, PBin):
-            return self._eval_bin(expr, phv, args)
+            # PHV fields hold unsigned bit patterns; the op reads them as such.
+            return intops.BINOPS[expr.op](
+                self.eval_expr(expr.lhs, phv, args),
+                self.eval_expr(expr.rhs, phv, args),
+                expr.bits,
+                False,
+            )
         if isinstance(expr, PMux):
             if self.eval_expr(expr.cond, phv, args):
                 return intops.wrap_unsigned(self.eval_expr(expr.a, phv, args), expr.bits)
             return intops.wrap_unsigned(self.eval_expr(expr.b, phv, args), expr.bits)
         if isinstance(expr, PUn):
             operand = self.eval_expr(expr.operand, phv, args)
-            if expr.op == "neg":
-                return intops.wrap_unsigned(-operand, expr.bits)
-            if expr.op == "not":
-                return intops.wrap_unsigned(~operand, expr.bits)
-            if expr.op == "lnot":
-                return int(operand == 0)
-            raise PisaError(f"unknown unary ALU op {expr.op!r}")
+            return intops.UNOPS[expr.op](operand, expr.bits, False)
         raise PisaError(f"cannot evaluate {expr!r}")
-
-    def _eval_bin(self, expr: PBin, phv: Phv, args: Dict[str, int]) -> int:
-        a = self.eval_expr(expr.lhs, phv, args)
-        b = self.eval_expr(expr.rhs, phv, args)
-        bits = expr.bits
-        op = expr.op
-        if op in ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"):
-            if op[0] == "s":
-                sa, sb = intops.wrap_signed(a, bits), intops.wrap_signed(b, bits)
-            else:
-                sa, sb = a, b
-            return int(
-                {
-                    "eq": sa == sb,
-                    "ne": sa != sb,
-                    "ult": sa < sb,
-                    "ule": sa <= sb,
-                    "ugt": sa > sb,
-                    "uge": sa >= sb,
-                    "slt": sa < sb,
-                    "sle": sa <= sb,
-                    "sgt": sa > sb,
-                    "sge": sa >= sb,
-                }[op]
-            )
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        elif op == "shl":
-            raw = a << intops.shift_amount(b, bits)
-        elif op == "lshr":
-            raw = a >> intops.shift_amount(b, bits)
-        elif op == "ashr":
-            raw = intops.wrap_signed(a, bits) >> intops.shift_amount(b, bits)
-        else:
-            raise PisaError(f"unknown ALU op {op!r}")
-        return intops.wrap_unsigned(raw, bits)
 
     # -- actions ---------------------------------------------------------------
 

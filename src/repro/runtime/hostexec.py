@@ -16,8 +16,13 @@ AST-level executor with the ``ncl::`` calls bound to the live runtime:
   the next window for *kernel* has been handled by the incoming kernel;
   returns the number of windows received so far.
 
-Host code runs under C semantics (fixed-width wrapping, short-circuit
-``&&``/``||`` -- hosts are real CPUs, unlike the eager data plane).
+Host code runs under C semantics: every operator and conversion goes
+through the op table in :mod:`repro.util.intops`, the same one the NIR
+interpreter and the PISA ALU use, with C's usual arithmetic conversions
+picking the op (``common_type``, as in ``nir/lower.py``). ``&&``/``||``
+short-circuit -- hosts are real CPUs, unlike the eager data plane.
+Compound assignments convert the operand to the target type and operate
+at that type, as kernels do.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.errors import RuntimeApiError
 from repro.ncl import ast
 from repro.ncl.sema import TranslationUnit
 from repro.ncl.symbols import Symbol, SymbolKind
-from repro.ncl.types import ArrayType, IntType, Type, is_signed, scalar_bits
+from repro.ncl.types import BOOL, ArrayType, Type, common_type, is_signed, scalar_bits
 from repro.runtime.host_rt import NclHost
 from repro.util import intops
 
@@ -179,17 +184,12 @@ class HostProgram:
         if isinstance(ty, ArrayType):
             env[stmt.name] = [0] * ty.total_elements
             return
-        value = self._eval(stmt.init, env) if stmt.init is not None else 0
-        if ty is not None and ty.is_scalar:
-            value = self._wrap(value, ty)
-        env[stmt.name] = value
+        if stmt.init is None:
+            env[stmt.name] = 0
+        else:
+            env[stmt.name] = _convert(self._eval(stmt.init, env), stmt.init.ty, ty)
 
     # -- expressions --------------------------------------------------------------
-
-    def _wrap(self, value, ty: Type):
-        if isinstance(value, int) and ty.is_scalar:
-            return intops.wrap(value, scalar_bits(ty), is_signed(ty))
-        return value
 
     def _eval(self, expr: ast.Expr, env: Dict[str, object]):
         if isinstance(expr, ast.IntLit):
@@ -217,8 +217,7 @@ class HostProgram:
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env)
         if isinstance(expr, ast.Cast):
-            value = self._eval(expr.operand, env)
-            return self._wrap(value, expr.target) if expr.target.is_scalar else value
+            return _convert(self._eval(expr.operand, env), expr.operand.ty, expr.target)
         raise RuntimeApiError(f"cannot evaluate {type(expr).__name__} on host")
 
     def _load_ident(self, expr: ast.Ident, env: Dict[str, object]):
@@ -246,17 +245,17 @@ class HostProgram:
             return pointer[0]
         if op in ("++", "--"):
             old = self._eval(expr.operand, env)
-            delta = 1 if op == "++" else -1
-            new = self._wrap(old + delta, expr.operand.ty or IntType(32, True))
+            ty = expr.operand.ty
+            step = intops.BINOPS["add" if op == "++" else "sub"]
+            new = step(old, 1, scalar_bits(ty), is_signed(ty))
             self._store(expr.operand, new, env)
             return old if expr.postfix else new
         value = self._eval(expr.operand, env)
         if op == "!":
             return int(not value)
-        if op == "-":
-            return self._wrap(-value, expr.ty or IntType(32, True))
-        if op == "~":
-            return self._wrap(~value, expr.ty or IntType(32, True))
+        if op in intops.C_UNOPS:
+            ty = expr.ty
+            return intops.UNOPS[intops.C_UNOPS[op]](value, scalar_bits(ty), is_signed(ty))
         raise RuntimeApiError(f"unsupported host unary {op!r}")
 
     def _address_of(self, expr: ast.Expr, env):
@@ -285,85 +284,15 @@ class HostProgram:
             return self._eval(expr.rhs, env)
         a = self._eval(expr.lhs, env)
         b = self._eval(expr.rhs, env)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return int(
-                {
-                    "==": a == b,
-                    "!=": a != b,
-                    "<": a < b,
-                    "<=": a <= b,
-                    ">": a > b,
-                    ">=": a >= b,
-                }[op]
-            )
-        ty = expr.ty or IntType(32, True)
-        if op == "+":
-            raw = a + b
-        elif op == "-":
-            raw = a - b
-        elif op == "*":
-            raw = a * b
-        elif op == "/":
-            raw = intops.checked_sdiv(a, b) if is_signed(ty) else intops.checked_udiv(a, b)
-        elif op == "%":
-            raw = intops.checked_srem(a, b) if is_signed(ty) else a % b
-        elif op == "<<":
-            raw = a << intops.shift_amount(b, scalar_bits(ty))
-        elif op == ">>":
-            raw = a >> intops.shift_amount(b, scalar_bits(ty))
-        elif op == "&":
-            raw = a & b
-        elif op == "|":
-            raw = a | b
-        elif op == "^":
-            raw = a ^ b
-        else:
-            raise RuntimeApiError(f"unsupported host operator {op!r}")
-        return self._wrap(raw, ty)
+        return _binop(op, a, b, common_type(expr.lhs.ty, expr.rhs.ty))
 
     def _eval_assign(self, expr: ast.Assign, env):
-        value = self._eval(expr.value, env)
+        ty = expr.target.ty
+        value = _convert(self._eval(expr.value, env), expr.value.ty, ty)
         if expr.op != "=":
-            old = self._eval(expr.target, env)
-            binop = ast.Binary(expr.loc, expr.op.rstrip("="), expr.target, expr.value)
-            binop.ty = expr.target.ty
-            # reuse the arithmetic path with already-evaluated operands
-            value = self._apply_binop(expr.op.rstrip("="), old, value, expr.target.ty)
-        if expr.target.ty is not None and expr.target.ty.is_scalar:
-            value = self._wrap(value, expr.target.ty)
+            value = _binop(expr.op[:-1], self._eval(expr.target, env), value, ty)
         self._store(expr.target, value, env)
         return value
-
-    def _apply_binop(self, op, a, b, ty):
-        fake = ast.Binary(None, op, None, None)  # type: ignore[arg-type]
-        fake.ty = ty
-
-        class _Lit:
-            def __init__(self, v):
-                self.v = v
-
-        # inline evaluation without re-walking operands
-        table = {
-            "+": a + b,
-            "-": a - b,
-            "*": a * b,
-            "&": a & b,
-            "|": a | b,
-            "^": a ^ b,
-        }
-        if op in table:
-            raw = table[op]
-        elif op == "/":
-            raw = intops.checked_sdiv(a, b) if (ty and is_signed(ty)) else intops.checked_udiv(a, b)
-        elif op == "%":
-            raw = intops.checked_srem(a, b) if (ty and is_signed(ty)) else a % b
-        elif op == "<<":
-            raw = a << intops.shift_amount(b, scalar_bits(ty) if ty else 32)
-        elif op == ">>":
-            raw = a >> intops.shift_amount(b, scalar_bits(ty) if ty else 32)
-        else:
-            raise RuntimeApiError(f"unsupported compound op {op!r}")
-        return self._wrap(raw, ty) if ty and ty.is_scalar else raw
 
     def _store(self, target: ast.Expr, value, env) -> None:
         if isinstance(target, ast.Ident):
@@ -468,3 +397,19 @@ class HostProgram:
                 break
             limit -= 1
         return self.host.received_count(kernel)
+
+
+def _binop(op: str, a: int, b: int, ty: Type) -> int:
+    """C binary operator *op* on operands converted to type *ty*."""
+    signed = is_signed(ty)
+    return intops.BINOPS[intops.c_binop(op, signed)](a, b, scalar_bits(ty), signed)
+
+
+def _convert(value, src_ty: Type, ty: Type):
+    """C conversion of an integer *value* of type *src_ty* to *ty*; other
+    values (arrays, references, strings) pass through unchanged."""
+    if not (isinstance(value, int) and ty.is_scalar and src_ty.is_scalar) or src_ty == ty:
+        return value
+    src_bits, bits = scalar_bits(src_ty), scalar_bits(ty)
+    kind = intops.cast_kind(src_bits, is_signed(src_ty), bits, ty == BOOL)
+    return intops.CASTS[kind](value, src_bits, bits, is_signed(ty))

@@ -62,6 +62,30 @@ class TestFragmentation:
             fragment_frame(frag, 64)
 
 
+class TestIsFragment:
+    def test_fragment_and_whole_frame(self):
+        layout, frame = big_frame(64)
+        assert is_fragment(fragment_frame(frame, 128)[0])
+        assert not is_fragment(frame)
+
+    def test_truncated_buffer_is_not_a_fragment(self):
+        layout, frame = big_frame(64)
+        frag = fragment_frame(frame, 128)[0]
+        assert not is_fragment(frag[:20])
+        assert not is_fragment(b"")
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        from repro.ncp import fragment
+
+        def broken(fields, data):
+            raise RuntimeError("codec bug")
+
+        monkeypatch.setattr(fragment, "unpack_fields", broken)
+        layout, frame = big_frame(4)
+        with pytest.raises(RuntimeError, match="codec bug"):
+            is_fragment(frame)
+
+
 class TestReassembly:
     def test_roundtrip_in_order(self):
         layout, frame = big_frame(64)

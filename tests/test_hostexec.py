@@ -197,3 +197,61 @@ class TestHostMapManagement:
         cluster.hosts["a"].out_window("probe", 1, [[43], [0]], dst="b")
         cluster.run()
         assert got == [103, 0]
+
+
+# Host main() and the NIR interpreter must agree on every C conversion.
+# Each case is (statements, expression, value): the kernel stores the
+# expression into an int64_t window slot, the host function returns it as
+# an int64_t, and both must give *value* -- what gcc gives on x86-64 except
+# where marked. NCL types integer literals by value (a ``u`` suffix is
+# accepted and ignored), so unsigned operands come from typed variables.
+C_CONVERSION_CASES = [
+    ("int s = -1; unsigned u = 1;", "s < u", 0),
+    ("int s = -7; unsigned u = 2;", "s / u", 2147483644),
+    ("int s = -7; unsigned u = 2;", "s % u", 1),
+    ("int s = -7; unsigned u = 3;", "s % u", 0),
+    ("int s = -16;", "s >> 2", -4),
+    ("unsigned u = 4294967280;", "u >> 2", 1073741820),
+    # NCL types a shift by the common type (C: the left operand's, -4)
+    ("int s = -16; unsigned u = 2;", "s >> u", 1073741820),
+    ("char c = 127; c = c + 1;", "c", -128),
+    ("char c = 200;", "c", -56),
+    ("unsigned short h = 65535; int i = -1;", "h > i", 1),
+    ("long l = -1; unsigned u = 1;", "l < u", 1),
+    # compound assignments convert the operand to the target type first
+    # (C computes in the common type: 2147483644 and 1)
+    ("int x = -7; unsigned u = 2; x /= u;", "x", -3),
+    ("int x = -7; unsigned u = 2; x %= u;", "x", -1),
+    ("unsigned v = 7; int n = -2; v /= n;", "v", 0),
+    ("unsigned v = 7; int n = -2; v %= n;", "v", 7),
+    ("int i = 256; bool b = i;", "b", 1),
+    ("int i = 256; bool b = false; b = i;", "b", 1),
+    ("int i = 200; char c = 0; c = i;", "c", -56),
+    ("unsigned u = 1;", "-u", 4294967295),
+    ("char c = 0;", "~c", -1),
+    ("int i = 300;", "(uint8_t)i + (int8_t)i", 88),
+    ("uint8_t b = 255; b++;", "b", 0),
+    ("int one = 1; int n = 33;", "one << n", 2),
+    ("uint64_t big = 0; big = big - 1;", "big > 0", 1),
+]
+
+
+class TestHostMatchesKernelSemantics:
+    def test_conversion_table(self):
+        from repro.nir.interp import DeviceState, run_kernel
+        from tests.diffutil import kernel_module
+
+        kernels, hosts = [], []
+        for i, (stmts, expr, _) in enumerate(C_CONVERSION_CASES):
+            kernels.append(f"_net_ _out_ void k{i}(int64_t *out) {{ {stmts} out[0] = {expr}; }}")
+            hosts.append(f"int64_t f{i}() {{ {stmts} int64_t r = {expr}; return r; }}")
+        module = kernel_module("\n".join(kernels))
+        program = Compiler().compile(
+            "_net_ _out_ void dummy(int *d) { }\n" + "\n".join(hosts),
+            windows={"dummy": WindowConfig(mask=(1,))},
+        )
+        hp = HostProgram(Cluster.from_program(program), "h0")
+        for i, (stmts, expr, value) in enumerate(C_CONVERSION_CASES):
+            out = [0]
+            run_kernel(module, f"k{i}", DeviceState.from_module(module), {}, [out])
+            assert (hp.run(f"f{i}"), out[0]) == (value, value), f"{stmts} {expr}"

@@ -1,5 +1,8 @@
 """Fixed-width integer semantics (repro.util.intops)."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,3 +127,101 @@ class TestFits:
         assert intops.bit_length_fits(-128, 8, signed=True)
         assert intops.bit_length_fits(127, 8, signed=True)
         assert not intops.bit_length_fits(128, 8, signed=True)
+
+
+# Reference definitions of the op table on mathematical integers: *u* and
+# *s* are an operand's unsigned and signed readings, the result is reduced
+# to the operand type afterwards. Independent of intops' own helpers.
+def _trunc_div(x, y):
+    return math.trunc(x / y)  # exact for the small widths swept here
+
+
+_REFERENCE = {
+    "add": lambda ua, sa, ub, sb, bits: ua + ub,
+    "sub": lambda ua, sa, ub, sb, bits: ua - ub,
+    "mul": lambda ua, sa, ub, sb, bits: ua * ub,
+    "udiv": lambda ua, sa, ub, sb, bits: ua // ub,
+    "urem": lambda ua, sa, ub, sb, bits: ua % ub,
+    "sdiv": lambda ua, sa, ub, sb, bits: _trunc_div(sa, sb),
+    "srem": lambda ua, sa, ub, sb, bits: sa - sb * _trunc_div(sa, sb),
+    "shl": lambda ua, sa, ub, sb, bits: ua * 2 ** (ub % bits),
+    "lshr": lambda ua, sa, ub, sb, bits: ua // 2 ** (ub % bits),
+    "ashr": lambda ua, sa, ub, sb, bits: math.floor(sa / 2 ** (ub % bits)),
+    "and": lambda ua, sa, ub, sb, bits: ua & ub,
+    "or": lambda ua, sa, ub, sb, bits: ua | ub,
+    "xor": lambda ua, sa, ub, sb, bits: ua ^ ub,
+    "eq": lambda ua, sa, ub, sb, bits: ua == ub,
+    "ne": lambda ua, sa, ub, sb, bits: ua != ub,
+    "ult": lambda ua, sa, ub, sb, bits: ua < ub,
+    "ule": lambda ua, sa, ub, sb, bits: ua <= ub,
+    "ugt": lambda ua, sa, ub, sb, bits: ua > ub,
+    "uge": lambda ua, sa, ub, sb, bits: ua >= ub,
+    "slt": lambda ua, sa, ub, sb, bits: sa < sb,
+    "sle": lambda ua, sa, ub, sb, bits: sa <= sb,
+    "sgt": lambda ua, sa, ub, sb, bits: sa > sb,
+    "sge": lambda ua, sa, ub, sb, bits: sa >= sb,
+}
+
+
+def _readings(bits):
+    """(operand as passed, unsigned reading, signed reading), both
+    representations of every pattern."""
+    for pattern in range(1 << bits):
+        signed = pattern - (1 << bits) if pattern >> (bits - 1) else pattern
+        for operand in {pattern, signed}:
+            yield operand, pattern, signed
+
+
+class TestOpTable:
+    @pytest.mark.parametrize("op", sorted(_REFERENCE))
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_binops_match_integer_definitions(self, op, signed):
+        bits = 4
+        for (a, ua, sa), (b, ub, sb) in itertools.product(_readings(bits), repeat=2):
+            if op in ("udiv", "urem", "sdiv", "srem") and ub == 0:
+                with pytest.raises(ZeroDivisionError):
+                    intops.BINOPS[op](a, b, bits, signed)
+                continue
+            if op in ("shl", "lshr", "ashr") and signed and sb < 0:
+                with pytest.raises(ReproError):
+                    intops.BINOPS[op](a, b, bits, signed)
+                continue
+            want = _REFERENCE[op](ua, sa, ub, sb, bits)
+            if op not in intops.COMPARES:
+                want = intops.wrap(want, bits, signed)
+            assert intops.BINOPS[op](a, b, bits, signed) == want, (op, a, b)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_unops_and_casts(self, signed):
+        bits = 4
+        for a, ua, sa in _readings(bits):
+            assert intops.UNOPS["neg"](a, bits, signed) == intops.wrap(-ua, bits, signed)
+            assert intops.UNOPS["not"](a, bits, signed) == intops.wrap(15 - ua, bits, signed)
+            assert intops.UNOPS["lnot"](a, bits, signed) == int(ua == 0)
+            assert intops.CASTS["zext"](a, bits, 8, signed) == intops.wrap(ua, 8, signed)
+            assert intops.CASTS["sext"](a, bits, 8, signed) == intops.wrap(sa, 8, signed)
+            assert intops.CASTS["trunc"](a, bits, 2, signed) == intops.wrap(ua % 4, 2, signed)
+            assert intops.CASTS["bool"](a, bits, 8, False) == int(ua != 0)
+
+    @pytest.mark.parametrize(
+        "src_bits,src_signed,bits,to_bool,kind",
+        [
+            (8, True, 32, False, "sext"),
+            (8, False, 32, False, "zext"),
+            (32, True, 32, False, "zext"),
+            (32, False, 8, False, "trunc"),
+            (32, True, 8, True, "bool"),
+        ],
+    )
+    def test_cast_kind(self, src_bits, src_signed, bits, to_bool, kind):
+        assert intops.cast_kind(src_bits, src_signed, bits, to_bool) == kind
+
+    def test_c_operators(self):
+        assert intops.c_binop("/", False) == "udiv"
+        assert intops.c_binop("/", True) == "sdiv"
+        assert intops.c_binop(">>", False) == "lshr"
+        assert intops.c_binop(">>", True) == "ashr"
+        assert intops.c_binop("<", False) == "ult"
+        assert intops.c_binop("==", True) == "eq"
+        with pytest.raises(KeyError):
+            intops.c_binop("&&", True)
