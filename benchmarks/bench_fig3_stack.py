@@ -11,16 +11,15 @@ import pytest
 
 from repro.nclc import Compiler, WindowConfig
 from repro.ncp.wire import (
-    ETH_FIELDS,
+    ETH,
     ETHERTYPE_IPV4,
     IP_PROTO_UDP,
-    IPV4_FIELDS,
-    UDP_FIELDS,
+    IPV4,
+    UDP,
     encode_frame,
     node_ip,
 )
 from repro.pisa.switch_dev import PisaSwitch
-from repro.util.bits import pack_fields
 
 from benchmarks._util import print_table, record_once
 
@@ -47,9 +46,8 @@ def deployed_switch():
 
 
 def plain_udp_frame(dst=2, dport=9999):
-    eth = pack_fields(ETH_FIELDS, {"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4})
-    ipv4 = pack_fields(
-        IPV4_FIELDS,
+    eth = ETH.pack({"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4})
+    ipv4 = IPV4.pack(
         {
             "version_ihl": 0x45,
             "total_len": 28,
@@ -59,7 +57,7 @@ def plain_udp_frame(dst=2, dport=9999):
             "dst": node_ip(dst),
         },
     )
-    udp = pack_fields(UDP_FIELDS, {"sport": 1000, "dport": dport, "length": 8})
+    udp = UDP.pack({"sport": 1000, "dport": dport, "length": 8})
     return eth + ipv4 + udp
 
 

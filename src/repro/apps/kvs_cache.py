@@ -19,6 +19,7 @@ A ToR switch between clients and a storage server caches hot items:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeApiError
@@ -63,7 +64,7 @@ def kvs_and(n_clients: int) -> str:
 class OpRecord:
     """One completed client operation."""
 
-    __slots__ = ("op", "key", "issued", "completed", "served_by_cache", "value")
+    __slots__ = ("op", "key", "issued", "completed", "served_by_cache", "_value")
 
     def __init__(self, op: str, key: int, issued: float):
         self.op = op
@@ -71,7 +72,17 @@ class OpRecord:
         self.issued = issued
         self.completed: Optional[float] = None
         self.served_by_cache = False
-        self.value: Optional[List[int]] = None
+        self._value: Optional[array] = None
+
+    @property
+    def value(self) -> Optional[List[int]]:
+        """The returned value. ``KVS_NCL`` values are ``unsigned`` words,
+        kept packed because a run keeps every completed record."""
+        return None if self._value is None else self._value.tolist()
+
+    @value.setter
+    def value(self, words: Sequence[int]) -> None:
+        self._value = array("I", words)
 
     @property
     def latency(self) -> float:
@@ -226,7 +237,7 @@ class KvsCluster:
             record.completed = self.cluster.now()
             # Reflected hits still carry the client's own id in `from`.
             record.served_by_cache = window.from_node != self.server_id
-            record.value = list(window.chunks[1])
+            record.value = window.chunks[1]
             self.records.append(record)
 
         return handler

@@ -22,29 +22,28 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.ncp.wire import (
+    ETH,
+    IPV4,
     ChunkLayout,
-    ETH_FIELDS,
-    IPV4_FIELDS,
     KernelLayout,
     decode_frame,
     encode_frame,
 )
 from repro.net.network import Network
 from repro.net.node import HostNode, PythonSwitchNode
-from repro.util.bits import unpack_fields
 
 #: pseudo kernel id for plain (non-INC) transfers
 XFER_KERNEL_ID = 0x7F00
 
 
 def l3_forwarding_program(data: bytes, in_port: int, node: PythonSwitchNode):
-    """A plain L3 switch: parse Ethernet+IPv4, next-hop by routes table."""
+    """A plain L3 switch: parse the IPv4 header behind Ethernet, next-hop
+    by routes table."""
     try:
-        eth, rest = unpack_fields(ETH_FIELDS, data)
-        ipv4, _ = unpack_fields(IPV4_FIELDS, rest)
-    except Exception:
+        ipv4 = IPV4.unpack(data, ETH.nbytes)
+    except ReproError:  # too short to hold the headers
         return []
     dst_node = ipv4["dst"] & 0xFFFF
     port = node.routes.get(dst_node)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import NcpError, ReproError
-from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
-from repro.util.bits import pack_fields, unpack_fields
+from repro.errors import NcpError
+from repro.ncp.wire import PREFIX, pack_prefix, peek_frame
+from repro.util.bits import Layout
 
 #: set on the wire kernel_id of every fragment; outside the id range the
 #: compiler assigns (1..N), so switch parsers never dispatch on it.
@@ -42,14 +42,7 @@ FRAG_FIELDS: List[Tuple[str, int]] = [
     ("count", 8),
     ("payload_len", 16),
 ]
-
-_HEADERS_LEN = (
-    sum(b for _, b in ETH_FIELDS)
-    + sum(b for _, b in IPV4_FIELDS)
-    + sum(b for _, b in UDP_FIELDS)
-    + sum(b for _, b in NCP_FIELDS)
-) // 8
-_FRAG_HDR_LEN = sum(b for _, b in FRAG_FIELDS) // 8
+FRAG = Layout(FRAG_FIELDS)
 
 MAX_FRAGMENTS = 255
 
@@ -63,54 +56,36 @@ def fragment_frame(frame: bytes, mtu: int) -> List[bytes]:
     """
     if len(frame) <= mtu:
         return [frame]
-    eth, rest = unpack_fields(ETH_FIELDS, frame)
-    ipv4, rest = unpack_fields(IPV4_FIELDS, rest)
-    udp, rest = unpack_fields(UDP_FIELDS, rest)
-    ncp, payload = unpack_fields(NCP_FIELDS, rest)
-    if ncp["flags"] & FLAG_FRAG:
+    headers = PREFIX.unpack(frame)
+    if headers["ncp.flags"] & FLAG_FRAG:
         raise NcpError("refusing to fragment a fragment")
 
-    budget = mtu - _HEADERS_LEN - _FRAG_HDR_LEN
+    budget = mtu - PREFIX.nbytes - FRAG.nbytes
     if budget <= 0:
         raise NcpError(f"mtu {mtu} too small for NCP headers")
+    payload = frame[PREFIX.nbytes :]
     pieces = [payload[i : i + budget] for i in range(0, len(payload), budget)]
     if len(pieces) > MAX_FRAGMENTS:
         raise NcpError(f"window needs {len(pieces)} fragments (max {MAX_FRAGMENTS})")
 
-    frames = []
-    for index, piece in enumerate(pieces):
-        ncp_frag = dict(ncp)
-        ncp_frag["kernel_id"] = ncp["kernel_id"] | FRAG_KERNEL_BIT
-        ncp_frag["flags"] = ncp["flags"] | FLAG_FRAG
-        udp_frag = dict(udp)
-        udp_frag["length"] = 8 + len(pack_fields(NCP_FIELDS, ncp_frag)) + _FRAG_HDR_LEN + len(piece)
-        ipv4_frag = dict(ipv4)
-        ipv4_frag["total_len"] = 20 + udp_frag["length"]
-        frames.append(
-            pack_fields(ETH_FIELDS, eth)
-            + pack_fields(IPV4_FIELDS, ipv4_frag)
-            + pack_fields(UDP_FIELDS, udp_frag)
-            + pack_fields(NCP_FIELDS, ncp_frag)
-            + pack_fields(
-                FRAG_FIELDS,
-                {"index": index, "count": len(pieces), "payload_len": len(piece)},
-            )
-            + piece
-        )
-    return frames
+    frag_headers = {
+        **headers,
+        "ncp.kernel_id": headers["ncp.kernel_id"] | FRAG_KERNEL_BIT,
+        "ncp.flags": headers["ncp.flags"] | FLAG_FRAG,
+    }
+    return [
+        pack_prefix(frag_headers, FRAG.nbytes + len(piece))
+        + FRAG.pack_values((index, len(pieces), len(piece)))
+        + piece
+        for index, piece in enumerate(pieces)
+    ]
 
 
 def is_fragment(data: bytes) -> bool:
     """Whether *data* is an NCP fragment; a frame too short to hold the
     headers is not."""
-    try:
-        _, rest = unpack_fields(ETH_FIELDS, data)
-        _, rest = unpack_fields(IPV4_FIELDS, rest)
-        _, rest = unpack_fields(UDP_FIELDS, rest)
-        ncp, _ = unpack_fields(NCP_FIELDS, rest)
-    except ReproError:  # the codec's short-buffer error
-        return False
-    return bool(ncp["flags"] & FLAG_FRAG)
+    meta = peek_frame(data)
+    return meta is not None and bool(meta["flags"] & FLAG_FRAG)
 
 
 class Reassembler:
@@ -122,7 +97,7 @@ class Reassembler:
 
     def __init__(self, max_pending: int = 1024):
         self._pending: Dict[Tuple[int, int, int], Dict[int, bytes]] = {}
-        self._meta: Dict[Tuple[int, int, int], Tuple[dict, dict, dict, dict, int]] = {}
+        self._meta: Dict[Tuple[int, int, int], Tuple[Dict[str, int], int]] = {}
         self.max_pending = max_pending
         self.reassembled = 0
         self.fragments_seen = 0
@@ -130,47 +105,37 @@ class Reassembler:
     def feed(self, data: bytes) -> Optional[bytes]:
         """Add one fragment; returns the rebuilt original frame when this
         fragment completes its window, else None."""
-        eth, rest = unpack_fields(ETH_FIELDS, data)
-        ipv4, rest = unpack_fields(IPV4_FIELDS, rest)
-        udp, rest = unpack_fields(UDP_FIELDS, rest)
-        ncp, rest = unpack_fields(NCP_FIELDS, rest)
-        if not ncp["flags"] & FLAG_FRAG:
+        headers = PREFIX.unpack(data)
+        if not headers["ncp.flags"] & FLAG_FRAG:
             raise NcpError("not a fragment")
-        frag, payload = unpack_fields(FRAG_FIELDS, rest)
-        payload = payload[: frag["payload_len"]]
+        frag = FRAG.unpack(data, PREFIX.nbytes)
+        start = PREFIX.nbytes + FRAG.nbytes
+        payload = data[start : start + frag["payload_len"]]
         self.fragments_seen += 1
 
-        original_kernel = ncp["kernel_id"] & ~FRAG_KERNEL_BIT
-        key = (ipv4["src"], original_kernel, ncp["seq"])
+        original_kernel = headers["ncp.kernel_id"] & ~FRAG_KERNEL_BIT
+        key = (headers["ip.src"], original_kernel, headers["ncp.seq"])
         if key not in self._pending:
             if len(self._pending) >= self.max_pending:
                 raise NcpError("reassembly table full")
             self._pending[key] = {}
-            self._meta[key] = (eth, ipv4, udp, ncp, frag["count"])
+            self._meta[key] = (headers, frag["count"])
         slots = self._pending[key]
         slots[frag["index"]] = payload
 
-        count = self._meta[key][4]
+        count = self._meta[key][1]
         if len(slots) < count:
             return None
-        eth, ipv4, udp, ncp, _ = self._meta.pop(key)
+        headers, _ = self._meta.pop(key)
         del self._pending[key]
         full_payload = b"".join(slots[i] for i in range(count))
-        ncp_orig = dict(ncp)
-        ncp_orig["kernel_id"] = original_kernel
-        ncp_orig["flags"] = ncp["flags"] & ~FLAG_FRAG
-        udp_orig = dict(udp)
-        udp_orig["length"] = 8 + len(pack_fields(NCP_FIELDS, ncp_orig)) + len(full_payload)
-        ipv4_orig = dict(ipv4)
-        ipv4_orig["total_len"] = 20 + udp_orig["length"]
         self.reassembled += 1
-        return (
-            pack_fields(ETH_FIELDS, eth)
-            + pack_fields(IPV4_FIELDS, ipv4_orig)
-            + pack_fields(UDP_FIELDS, udp_orig)
-            + pack_fields(NCP_FIELDS, ncp_orig)
-            + full_payload
-        )
+        original = {
+            **headers,
+            "ncp.kernel_id": original_kernel,
+            "ncp.flags": headers["ncp.flags"] & ~FLAG_FRAG,
+        }
+        return pack_prefix(original, len(full_payload)) + full_payload
 
     @property
     def pending_windows(self) -> int:

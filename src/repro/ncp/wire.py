@@ -12,7 +12,9 @@ Frame layout (prototype scope: one window per packet, over UDP)::
 The same (name, bits) layouts drive three consumers:
 
 * the host-side codec in this module (:func:`encode_frame` /
-  :func:`decode_frame`);
+  :func:`decode_frame` / :func:`peek_frame`), through the compiled
+  :class:`~repro.util.bits.Layout` of each table and of their stacked
+  :data:`PREFIX`;
 * nclc's generated parser spec (:func:`ncp_parse_states`), so the switch
   parses exactly what hosts emit;
 * the KernelLayout registry the runtime uses to frame windows.
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import NcpError
 from repro.ncl.types import PointerType, Type, is_signed, scalar_bits
 from repro.util import intops
-from repro.util.bits import BitReader, BitWriter, pack_fields, unpack_fields
+from repro.util.bits import Layout
 
 # -- constants -----------------------------------------------------------------
 
@@ -67,6 +69,22 @@ NCP_FIELDS: List[Tuple[str, int]] = [
     ("from_node", 16),
     ("seq", 32),
 ]
+
+ETH = Layout(ETH_FIELDS)
+IPV4 = Layout(IPV4_FIELDS)
+UDP = Layout(UDP_FIELDS)
+NCP = Layout(NCP_FIELDS)
+
+#: The Ethernet/IPv4/UDP/NCP prefix every NCP frame starts with, as one
+#: layout whose fields are named ``<header>.<field>`` (``"ip.src"``,
+#: ``"ncp.seq"``, ...); the payload follows at ``PREFIX.nbytes``.
+PREFIX = Layout([
+    (f"{header}.{name}", bits)
+    for header, fields in (
+        ("eth", ETH_FIELDS), ("ip", IPV4_FIELDS), ("udp", UDP_FIELDS), ("ncp", NCP_FIELDS)
+    )
+    for name, bits in fields
+])
 
 IPV4_VERSION_IHL = 0x45
 DEFAULT_TTL = 64
@@ -129,6 +147,8 @@ class KernelLayout:
         self.kernel_name = kernel_name
         self.chunks = list(chunks)
         self.ext_fields = [(n, b, s) for n, b, s in ext_fields]
+        #: compiled codec for ext fields + data elements (not serialized)
+        self.payload = Layout(self.payload_field_layout())
 
     @property
     def data_bytes(self) -> int:
@@ -185,6 +205,15 @@ def layout_for_kernel(
 # -- frame codec --------------------------------------------------------------------
 
 
+def pack_prefix(headers: Dict[str, int], payload_len: int) -> bytes:
+    """Pack a :data:`PREFIX` for ``payload_len`` NCP payload bytes; the
+    UDP and IPv4 length fields are filled in from it."""
+    udp_len = UDP.nbytes + NCP.nbytes + payload_len
+    return PREFIX.pack(
+        {**headers, "udp.length": udp_len, "ip.total_len": IPV4.nbytes + udp_len}
+    )
+
+
 def encode_frame(
     layout: KernelLayout,
     src_node: int,
@@ -200,63 +229,45 @@ def encode_frame(
         raise NcpError(
             f"expected {len(layout.chunks)} chunks, got {len(chunks)}"
         )
-    ext_values = dict(ext_values or {})
+    ext_values = ext_values or {}
 
-    payload = BitWriter()
-    for name, bits, _signed in layout.ext_fields:
+    values: List[int] = []
+    for name, _bits, _signed in layout.ext_fields:
         if name not in ext_values:
             raise NcpError(f"missing window extension field {name!r}")
-        payload.write(intops.to_unsigned(int(ext_values[name]), bits), bits)
-    for chunk_layout, values in zip(layout.chunks, chunks):
-        if len(values) != chunk_layout.count:
+        values.append(ext_values[name])
+    for chunk_layout, chunk in zip(layout.chunks, chunks):
+        if len(chunk) != chunk_layout.count:
             raise NcpError(
                 f"chunk {chunk_layout.name!r}: expected {chunk_layout.count} "
-                f"elements, got {len(values)}"
+                f"elements, got {len(chunk)}"
             )
-        for v in values:
-            payload.write(intops.to_unsigned(int(v), chunk_layout.bits), chunk_layout.bits)
-    payload_bytes = payload.to_bytes()
+        values.extend(chunk)
+    payload = layout.payload.pack_values(values)
 
-    ncp_bytes = pack_fields(
-        NCP_FIELDS,
+    prefix = pack_prefix(
         {
-            "magic": NCP_MAGIC,
-            "version": NCP_VERSION,
-            "flags": FLAG_LAST if last else 0,
-            "kernel_id": layout.kernel_id,
-            "from_node": src_node if from_node is None else from_node,
-            "seq": seq,
+            "eth.dst": node_mac(dst_node),
+            "eth.src": node_mac(src_node),
+            "eth.ethertype": ETHERTYPE_IPV4,
+            "ip.version_ihl": IPV4_VERSION_IHL,
+            "ip.ident": seq & 0xFFFF,
+            "ip.ttl": DEFAULT_TTL,
+            "ip.proto": IP_PROTO_UDP,
+            "ip.src": node_ip(src_node),
+            "ip.dst": node_ip(dst_node),
+            "udp.sport": NCP_PORT,
+            "udp.dport": NCP_PORT,
+            "ncp.magic": NCP_MAGIC,
+            "ncp.version": NCP_VERSION,
+            "ncp.flags": FLAG_LAST if last else 0,
+            "ncp.kernel_id": layout.kernel_id,
+            "ncp.from_node": src_node if from_node is None else from_node,
+            "ncp.seq": seq,
         },
+        len(payload),
     )
-    udp_len = 8 + len(ncp_bytes) + len(payload_bytes)
-    udp_bytes = pack_fields(
-        UDP_FIELDS,
-        {"sport": NCP_PORT, "dport": NCP_PORT, "length": udp_len, "checksum": 0},
-    )
-    ip_bytes = pack_fields(
-        IPV4_FIELDS,
-        {
-            "version_ihl": IPV4_VERSION_IHL,
-            "tos": 0,
-            "total_len": 20 + udp_len,
-            "ident": seq & 0xFFFF,
-            "flags_frag": 0,
-            "ttl": DEFAULT_TTL,
-            "proto": IP_PROTO_UDP,
-            "checksum": 0,
-            "src": node_ip(src_node),
-            "dst": node_ip(dst_node),
-        },
-    )
-    eth_bytes = pack_fields(
-        ETH_FIELDS,
-        {
-            "dst": node_mac(dst_node),
-            "src": node_mac(src_node),
-            "ethertype": ETHERTYPE_IPV4,
-        },
-    )
-    return eth_bytes + ip_bytes + udp_bytes + ncp_bytes + payload_bytes
+    return prefix + payload
 
 
 class DecodedFrame:
@@ -289,12 +300,28 @@ class DecodedFrame:
         )
 
 
-#: Every header layout above is byte-aligned with fixed widths, so the
-#: stacked prefix has fixed byte offsets: ETH 0..14, IPv4 14..34, UDP
-#: 34..42, NCP 42..54.  The hot-path peek below reads those offsets
-#: directly instead of walking the layouts bit by bit -- it runs once
-#: per packet on the simulator fast path (cached on repro.net.Frame).
-_PEEK_MIN_LEN = 54
+#: (where, expected bytes) of the PREFIX fields that mark an NCP frame
+_NCP_SIGNATURE = [
+    (where, value.to_bytes(where.stop - where.start, "big"))
+    for where, value in (
+        (PREFIX.byte_slice("eth.ethertype"), ETHERTYPE_IPV4),
+        (PREFIX.byte_slice("ip.proto"), IP_PROTO_UDP),
+        (PREFIX.byte_slice("udp.dport"), NCP_PORT),
+        (PREFIX.byte_slice("ncp.magic"), NCP_MAGIC),
+    )
+]
+#: peek_frame's keys and where in PREFIX each value sits
+_PEEK_FIELDS = [
+    (key, PREFIX.byte_slice(name))
+    for key, name in (
+        ("kernel", "ncp.kernel_id"),
+        ("seq", "ncp.seq"),
+        ("from", "ncp.from_node"),
+        ("flags", "ncp.flags"),
+        ("src", "ip.src"),
+        ("dst", "ip.dst"),
+    )
+]
 
 
 def is_ncp_frame(data: bytes) -> bool:
@@ -303,70 +330,65 @@ def is_ncp_frame(data: bytes) -> bool:
 
 
 def peek_frame(data: bytes) -> Optional[Dict[str, int]]:
-    """Header-only decode (no layout needed) for tracing and routing:
-    which window is this frame carrying? Returns None for non-NCP
-    frames."""
-    if (
-        len(data) < _PEEK_MIN_LEN
-        or data[12] != 0x08 or data[13] != 0x00   # ethertype IPv4
-        or data[23] != IP_PROTO_UDP
-        or (data[36] << 8) | data[37] != NCP_PORT
-        or (data[42] << 8) | data[43] != NCP_MAGIC
-    ):
+    """Header-only decode (no kernel layout needed) for tracing, routing
+    and delivery: which window is this frame carrying? Reads only the
+    fields it returns, at offsets derived from :data:`PREFIX`; it runs
+    once per packet on the simulator fast path (cached on
+    repro.net.Frame). Returns None for non-NCP frames."""
+    if len(data) < PREFIX.nbytes:
         return None
-    return {
-        "kernel": (data[46] << 8) | data[47],
-        "seq": int.from_bytes(data[50:54], "big"),
-        "from": (data[48] << 8) | data[49],
-        "last": 1 if data[45] & FLAG_LAST else 0,
-        "src": (data[28] << 8) | data[29],   # ip.src & 0xFFFF
-        "dst": (data[32] << 8) | data[33],   # ip.dst & 0xFFFF
-    }
+    for where, expected in _NCP_SIGNATURE:
+        if data[where] != expected:
+            return None
+    meta = {key: int.from_bytes(data[where], "big") for key, where in _PEEK_FIELDS}
+    meta["last"] = meta["flags"] & FLAG_LAST
+    meta["src"] &= 0xFFFF  # node ids are the low 16 bits of the address
+    meta["dst"] &= 0xFFFF
+    return meta
 
 
 def decode_frame(
     data: bytes, layouts: Dict[int, KernelLayout]
 ) -> DecodedFrame:
     """Parse a full frame; dispatches the payload layout on kernel_id."""
-    eth, rest = unpack_fields(ETH_FIELDS, data)
-    if eth["ethertype"] != ETHERTYPE_IPV4:
-        raise NcpError(f"not IPv4 (ethertype {eth['ethertype']:#x})")
-    ip, rest = unpack_fields(IPV4_FIELDS, rest)
-    if ip["proto"] != IP_PROTO_UDP:
-        raise NcpError(f"not UDP (proto {ip['proto']})")
-    udp, rest = unpack_fields(UDP_FIELDS, rest)
-    if udp["dport"] != NCP_PORT:
-        raise NcpError(f"not an NCP port ({udp['dport']})")
-    ncp, rest = unpack_fields(NCP_FIELDS, rest)
-    if ncp["magic"] != NCP_MAGIC:
-        raise NcpError(f"bad NCP magic {ncp['magic']:#x}")
-    if ncp["version"] != NCP_VERSION:
-        raise NcpError(f"unsupported NCP version {ncp['version']}")
-    kernel_id = ncp["kernel_id"]
+    h = PREFIX.unpack(data)
+    if h["eth.ethertype"] != ETHERTYPE_IPV4:
+        raise NcpError(f"not IPv4 (ethertype {h['eth.ethertype']:#x})")
+    if h["ip.proto"] != IP_PROTO_UDP:
+        raise NcpError(f"not UDP (proto {h['ip.proto']})")
+    if h["udp.dport"] != NCP_PORT:
+        raise NcpError(f"not an NCP port ({h['udp.dport']})")
+    if h["ncp.magic"] != NCP_MAGIC:
+        raise NcpError(f"bad NCP magic {h['ncp.magic']:#x}")
+    if h["ncp.version"] != NCP_VERSION:
+        raise NcpError(f"unsupported NCP version {h['ncp.version']}")
+    kernel_id = h["ncp.kernel_id"]
     layout = layouts.get(kernel_id)
     if layout is None:
         raise NcpError(f"unknown kernel id {kernel_id}")
 
-    reader = BitReader(rest)
-    ext: Dict[str, int] = {}
-    for name, bits, signed in layout.ext_fields:
-        raw = reader.read(bits)
-        ext[name] = intops.wrap(raw, bits, signed)
+    values = layout.payload.unpack_values(data, PREFIX.nbytes)
+    ext = {
+        name: intops.wrap(value, bits, signed)
+        for (name, bits, signed), value in zip(layout.ext_fields, values)
+    }
     chunks: List[List[int]] = []
+    pos = len(layout.ext_fields)
     for chunk_layout in layout.chunks:
-        values = [
-            intops.wrap(reader.read(chunk_layout.bits), chunk_layout.bits, chunk_layout.signed)
-            for _ in range(chunk_layout.count)
-        ]
-        chunks.append(values)
+        chunk = values[pos : pos + chunk_layout.count]
+        pos += chunk_layout.count
+        if chunk_layout.signed:
+            bits = chunk_layout.bits
+            chunk = [intops.wrap(v, bits, True) for v in chunk]
+        chunks.append(chunk)
 
     return DecodedFrame(
-        src_node=ip["src"] & 0xFFFF,
-        dst_node=ip["dst"] & 0xFFFF,
+        src_node=h["ip.src"] & 0xFFFF,
+        dst_node=h["ip.dst"] & 0xFFFF,
         kernel_id=kernel_id,
-        from_node=ncp["from_node"],
-        seq=ncp["seq"],
-        last=bool(ncp["flags"] & FLAG_LAST),
+        from_node=h["ncp.from_node"],
+        seq=h["ncp.seq"],
+        last=bool(h["ncp.flags"] & FLAG_LAST),
         ext=ext,
         chunks=chunks,
     )

@@ -46,8 +46,8 @@ class Frame:
 
     @property
     def meta(self) -> Optional[Dict[str, int]]:
-        """The header-only NCP view (kernel/seq/from/src/dst), parsed on
-        first access and cached; ``None`` for non-NCP frames."""
+        """The header-only NCP view (kernel/seq/from/flags/src/dst),
+        parsed on first access and cached; ``None`` for non-NCP frames."""
         meta = self._meta
         if meta is _UNPARSED:
             meta = peek_frame(self.data)

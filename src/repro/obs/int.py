@@ -43,8 +43,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.ncp.wire import FLAG_INT, NCP_MAGIC
-from repro.util.bits import pack_fields, unpack_fields
+from repro.ncp.wire import FLAG_INT, NCP_MAGIC, PREFIX
+from repro.util.bits import Layout
 
 #: trailer magic ("telemetry" tail marker, distinct from NCP_MAGIC)
 INT_MAGIC = 0x17E1
@@ -64,18 +64,20 @@ INT_HOP_FIELDS: List[Tuple[str, int]] = [
     ("flags", 8),
 ]
 
-TAIL_BYTES = sum(b for _, b in INT_TAIL_FIELDS) // 8  # 5
-HOP_BYTES = sum(b for _, b in INT_HOP_FIELDS) // 8  # 20
+TAIL = Layout(INT_TAIL_FIELDS)
+HOP = Layout(INT_HOP_FIELDS)
+TAIL_BYTES = TAIL.nbytes  # 5
+HOP_BYTES = HOP.nbytes  # 20
 
 #: tail flag: a switch hit the hop cap or byte budget and appended nothing
 TAIL_TRUNCATED = 0x01
 #: hop-record flag: the packet was dropped at this hop
 HOP_DROPPED = 0x01
 
-#: fixed offsets into an Ethernet/IPv4/UDP/NCP frame
-_NCP_OFF = (14 + 20 + 8)  # eth + ipv4 + udp
-_FLAGS_OFF = _NCP_OFF + 3  # magic:16 version:8 | flags
-_MIN_NCP_LEN = _NCP_OFF + 12  # + fixed NCP header
+#: positions in an Ethernet/IPv4/UDP/NCP frame, from the wire layout
+_MAGIC = PREFIX.byte_slice("ncp.magic")
+_MAGIC_NCP = NCP_MAGIC.to_bytes(_MAGIC.stop - _MAGIC.start, "big")
+_FLAGS_OFF = PREFIX.byte_slice("ncp.flags").start
 
 _NS = 1e9
 
@@ -139,24 +141,23 @@ class IntStack:
 
 
 def carries_int(data: bytes) -> bool:
-    """Does this frame carry an INT trailer? One length check plus three
+    """Does this frame carry an INT trailer? One length check plus two
     fixed-offset byte tests -- the per-frame cost on the disabled path."""
     return (
-        len(data) >= _MIN_NCP_LEN + TAIL_BYTES
-        and data[_NCP_OFF] == (NCP_MAGIC >> 8)
-        and data[_NCP_OFF + 1] == (NCP_MAGIC & 0xFF)
+        len(data) >= PREFIX.nbytes + TAIL_BYTES
+        and data[_MAGIC] == _MAGIC_NCP
         and bool(data[_FLAGS_OFF] & FLAG_INT)
     )
 
 
 def _split(frame: bytes) -> Tuple[bytes, bytes, Dict[str, int]]:
     """(base frame, record bytes, tail fields) of an INT frame."""
-    tail, _ = unpack_fields(INT_TAIL_FIELDS, frame[-TAIL_BYTES:])
+    tail = TAIL.unpack(frame[-TAIL_BYTES:])
     if tail["magic"] != INT_MAGIC:
         raise IntError(f"bad INT tail magic {tail['magic']:#x}")
     rec_len = tail["hop_count"] * HOP_BYTES
     cut = len(frame) - TAIL_BYTES - rec_len
-    if cut < _MIN_NCP_LEN:
+    if cut < PREFIX.nbytes:
         raise IntError(
             f"INT tail claims {tail['hop_count']} records but the frame "
             f"has only {len(frame)} bytes"
@@ -175,10 +176,7 @@ def attach_tail(frame: bytes, attempt: int = 0) -> bytes:
         raise IntError("frame already carries an INT trailer")
     armed = bytearray(frame)
     armed[_FLAGS_OFF] |= FLAG_INT
-    tail = pack_fields(
-        INT_TAIL_FIELDS,
-        {"hop_count": 0, "attempt": attempt & 0xFF, "flags": 0, "magic": INT_MAGIC},
-    )
+    tail = TAIL.pack({"attempt": attempt, "magic": INT_MAGIC})
     return bytes(armed) + tail
 
 
@@ -188,10 +186,7 @@ def peek_stack(frame: bytes) -> Optional[IntStack]:
     if not carries_int(frame):
         return None
     _, recs, tail = _split(frame)
-    hops = []
-    for i in range(tail["hop_count"]):
-        rec, _ = unpack_fields(INT_HOP_FIELDS, recs[i * HOP_BYTES : (i + 1) * HOP_BYTES])
-        hops.append(rec)
+    hops = [HOP.unpack(recs, i * HOP_BYTES) for i in range(tail["hop_count"])]
     return IntStack(hops, tail["attempt"], bool(tail["flags"] & TAIL_TRUNCATED))
 
 
@@ -230,9 +225,8 @@ def stamp_hop(
     base, recs, tail = _split(frame)
     if not cfg.allows(tail["hop_count"]):
         tail = dict(tail, flags=tail["flags"] | TAIL_TRUNCATED)
-        return base + recs + pack_fields(INT_TAIL_FIELDS, tail), False
-    record = pack_fields(
-        INT_HOP_FIELDS,
+        return base + recs + TAIL.pack(tail), False
+    record = HOP.pack(
         {
             "hop": hop_id,
             "ingress_ns": int(round(ingress_ts * _NS)),
@@ -243,7 +237,7 @@ def stamp_hop(
         },
     )
     tail = dict(tail, hop_count=tail["hop_count"] + 1)
-    return base + recs + record + pack_fields(INT_TAIL_FIELDS, tail), True
+    return base + recs + record + TAIL.pack(tail), True
 
 
 # -- trace/metrics emission ---------------------------------------------------

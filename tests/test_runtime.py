@@ -160,3 +160,79 @@ class TestLossyDeploy:
         job = AllReduceJob(2, 32, 4, loss=1.0)
         with pytest.raises(RuntimeApiError, match="did not complete"):
             job.run_round([[1] * 32, [2] * 32])
+
+
+class TestFrameDelivery:
+    """What one delivered frame costs and how a bad one is dropped."""
+
+    def _host_and_frame(self, deployed, obs=None):
+        from repro.ncp.wire import encode_frame
+
+        cluster = Cluster.from_program(deployed, obs=obs)
+        host = cluster.host("w0")
+        got = []
+        host.on_raw_window("allreduce", lambda w, h: got.append(w.chunks))
+        frame = encode_frame(
+            deployed.layouts["allreduce"], src_node=1, dst_node=host.node_id,
+            seq=3, chunks=[[5, 6, 7, 8]], ext_values={"len": 4},
+        )
+        return host, frame, got
+
+    def _count_prefix_unpacks(self, monkeypatch):
+        from repro.ncp import wire
+        from repro.util.bits import Layout
+
+        calls = []
+        original = Layout.unpack_values
+
+        def counting(self, data, offset=0):
+            if self is wire.PREFIX:
+                calls.append(offset)
+            return original(self, data, offset)
+
+        monkeypatch.setattr(Layout, "unpack_values", counting)
+        return calls
+
+    def test_headers_parsed_once_per_delivery(self, deployed, monkeypatch):
+        from repro.net.frame import Frame
+
+        host, frame, got = self._host_and_frame(deployed)
+        calls = self._count_prefix_unpacks(monkeypatch)
+        in_flight = Frame(frame)
+        assert in_flight.meta is not None  # peeked on the way, as links do
+        host.node.frame_receiver(in_flight)
+        assert got == [[[5, 6, 7, 8]]]
+        assert len(calls) == 1
+        host._on_frame(frame)  # raw bytes: one peek, then the decode
+        assert len(got) == 2
+        assert len(calls) == 2
+
+    def test_truncated_and_bad_magic_frames_dropped(self, deployed):
+        from repro.ncp.fragment import fragment_frame
+        from repro.ncp.wire import PREFIX
+        from repro.obs import Observability
+
+        obs = Observability()
+        host, frame, got = self._host_and_frame(deployed, obs=obs)
+        magic = PREFIX.byte_slice("ncp.magic")
+        bad_magic = frame[: magic.start] + b"\0\0" + frame[magic.stop :]
+        short_fragment = fragment_frame(frame, 64)[0][: PREFIX.nbytes + 1]
+        cases = (frame[:-1], frame[:20], bad_magic, short_fragment)
+        for n, data in enumerate(cases, start=1):
+            host._on_frame(data)
+            assert host.node.stats.drops == n
+        assert got == []
+        drops = [e for e in obs.tracer.events if e.name == "drop"]
+        assert [e.args["cause"] for e in drops] == ["decode"] * 3 + ["reassembly"]
+
+    def test_unrelated_decode_error_propagates(self, deployed, monkeypatch):
+        from repro.runtime import host_rt
+
+        def broken(data, layouts):
+            raise RuntimeError("decoder bug")
+
+        host, frame, _ = self._host_and_frame(deployed)
+        monkeypatch.setattr(host_rt, "decode_frame", broken)
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            host._on_frame(frame)
+        assert host.node.stats.drops == 0
