@@ -8,9 +8,11 @@ validator checks the output against the snapshot three ways:
 1. **structural** -- :func:`repro.nir.verify.verify_function` (branch
    targets, phi arity, SSA dominance) must still hold;
 2. **differential** -- a deterministic set of corner-case plus
-   seeded-random window vectors runs through the NIR interpreter on
-   both versions; forwarding decision, return value, mutated window
-   args, and the full device-state snapshot must agree;
+   seeded-random window vectors runs through the reference NIR
+   interpreter (``Interpreter.reference_run``: the oracle, never the
+   compiled executor under test, and no compile per vector) on both
+   versions; forwarding decision, return value, mutated window args,
+   and the full device-state snapshot must agree;
 3. **abstract** -- if the abstract interpreter proves a *different*
    constant return value for the two versions, that contradiction is a
    miscompile even if no vector happened to reach it.
@@ -217,7 +219,7 @@ class PassValidator:
         call_args = copy.deepcopy(args)
         ctx = WindowContext(meta, call_args, self.location_id, self.label_ids)
         try:
-            result = Interpreter(self.module, state).run(fn, ctx)
+            result = Interpreter(self.module, state).reference_run(fn, ctx)
         except (ReproError, ZeroDivisionError, KeyError):
             return _TRAP
         return (

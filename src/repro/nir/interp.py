@@ -1,12 +1,15 @@
-"""NIR interpreter.
+"""NIR execution: device state, window context and the two executors.
 
-Executes a kernel function against a window and some device state. This
-is the *reference semantics* of NCL: the PISA-compiled switch program is
-differentially tested against it, and hosts use it directly to run
-incoming kernels (the "host binary" of the paper's dual pipeline).
+:meth:`Interpreter.run` executes a kernel function against a window and
+some device state through the code :mod:`repro.nir.compile` generates
+for it; hosts run incoming kernels this way (the "host binary" of the
+paper's dual pipeline). :meth:`Interpreter.reference_run` walks the IR
+one instruction at a time. It is the *reference semantics* of NCL: the
+compiled code and the PISA-compiled switch program are differentially
+tested against it, and translation validation runs on it.
 
-The interpreter is deliberately strict: out-of-bounds element accesses
-raise instead of wrapping, because on a real switch they would be
+Both are deliberately strict: out-of-bounds element accesses raise
+instead of wrapping, because on a real switch they would be
 compile-time-impossible (register arrays are sized) and we want tests to
 catch miscompiled indices.
 """
@@ -27,6 +30,7 @@ from repro.ncl.types import (
     sizeof,
 )
 from repro.nir import ir
+from repro.nir.compile import compiled
 from repro.util import intops
 
 
@@ -190,11 +194,133 @@ class Interpreter:
         self.state = state
 
     def run(self, fn: ir.Function, ctx: WindowContext) -> InterpResult:
-        if len(ctx.args) != len(fn.params):
-            raise PisaError(
-                f"{fn.name}: expected {len(fn.params)} args, got {len(ctx.args)}"
-            )
+        """Run *fn* as compiled Python (generated once per function)."""
+        _check_arity(fn, ctx)
+        fwd, fwd_label, ret = compiled(fn)(
+            self.state, ctx.meta, ctx.args, ctx.location_id, ctx.location_labels
+        )
+        return InterpResult(fwd, fwd_label, ret)
+
+    def reference_run(self, fn: ir.Function, ctx: WindowContext) -> InterpResult:
+        """Walk the IR one instruction at a time: the oracle for :meth:`run`."""
+        _check_arity(fn, ctx)
         return _FrameInterp(self, fn, ctx).run()
+
+
+def _check_arity(fn: ir.Function, ctx: WindowContext) -> None:
+    if len(ctx.args) != len(fn.params):
+        raise PisaError(
+            f"{fn.name}: expected {len(fn.params)} args, got {len(ctx.args)}"
+        )
+
+
+# -- semantics shared by both executors ----------------------------------------
+
+
+def map_token(token) -> Tuple[str, bool, int]:
+    """*token* if it is a Map lookup token (``("maptok", found, value)``)."""
+    if not (isinstance(token, tuple) and token and token[0] == "maptok"):
+        raise PisaError("expected a Map lookup token")
+    return token  # type: ignore[return-value]
+
+
+def bounds_error(ref: ir.GlobalRef, idx: int) -> PisaError:
+    return PisaError(
+        f"index {idx} out of range for {ref.name} [{ref.total_elements} elements]"
+    )
+
+
+def check_bounds(ref: ir.GlobalRef, idx: int) -> None:
+    if not 0 <= idx < ref.total_elements:
+        raise bounds_error(ref, idx)
+
+
+def load_param(buf, idx: int, name: str) -> int:
+    """``buf[idx]`` for a window-data (or scalar) parameter."""
+    if isinstance(buf, int):  # scalar parameter, index must be 0
+        if idx != 0:
+            raise PisaError("indexing a scalar parameter")
+        return buf
+    try:
+        return int(buf[idx])
+    except IndexError:
+        raise PisaError(f"window-data index {idx} out of range for {name}") from None
+
+
+def wrap_to(raw: int, ty: Type) -> int:
+    """*raw* wrapped to scalar type *ty* (non-scalars pass through)."""
+    if not ty.is_scalar:
+        return raw
+    return intops.wrap(raw, scalar_bits(ty), is_signed(ty))
+
+
+def int_value(value) -> int:
+    if not isinstance(value, int):
+        raise PisaError(f"expected integer, got {type(value).__name__}")
+    return value
+
+
+def memcpy(
+    state: DeviceState,
+    instr: ir.Memcpy,
+    nbytes,
+    dst_off,
+    src_off,
+    dst_buf=None,
+    src_buf=None,
+) -> None:
+    """Execute *instr*; ``*_buf`` are the parameter values of param regions."""
+    nbytes = int_value(nbytes)
+    dst_elem = sizeof(instr.dst.elem_type)
+    src_elem = sizeof(instr.src.elem_type)
+    if nbytes % dst_elem or nbytes % src_elem:
+        raise PisaError(
+            f"memcpy length {nbytes} not a multiple of element sizes "
+            f"({dst_elem}/{src_elem})"
+        )
+    if dst_elem != src_elem:
+        raise PisaError("memcpy between different element widths")
+    count = nbytes // dst_elem
+    src_vals = [
+        _region_read(state, instr.src, src_buf, int_value(src_off) + i)
+        for i in range(count)
+    ]
+    for i, value in enumerate(src_vals):
+        _region_write(state, instr.dst, dst_buf, int_value(dst_off) + i, value)
+
+
+def _global_array(state: DeviceState, ref: ir.GlobalRef) -> MutableSequence[int]:
+    array = state.arrays.get(ref.name)
+    if array is None:
+        raise PisaError(f"global {ref.name!r} not present on device")
+    return array
+
+
+def _region_read(state: DeviceState, region: ir.MemRegion, buf, idx: int) -> int:
+    if region.kind == "param":
+        if isinstance(buf, int):
+            if idx != 0:
+                raise PisaError("memcpy overruns scalar parameter")
+            return buf
+        return int(buf[idx])  # type: ignore[index]
+    ref = region.ref
+    assert ref is not None
+    check_bounds(ref, idx)
+    return _global_array(state, ref)[idx]
+
+
+def _region_write(state: DeviceState, region: ir.MemRegion, buf, idx: int, value: int) -> None:
+    value = wrap_to(value, region.elem_type)
+    if region.kind == "param":
+        try:
+            buf[idx] = value  # type: ignore[index]
+        except (IndexError, TypeError):
+            raise PisaError("memcpy overruns parameter buffer") from None
+        return
+    ref = region.ref
+    assert ref is not None
+    check_bounds(ref, idx)
+    _global_array(state, ref)[idx] = value
 
 
 class _FrameInterp:
@@ -225,15 +351,7 @@ class _FrameInterp:
         raise PisaError(f"cannot evaluate {value!r}")
 
     def int_of(self, value: ir.Value) -> int:
-        v = self.value_of(value)
-        if not isinstance(v, int):
-            raise PisaError(f"expected integer, got {type(v).__name__}")
-        return v
-
-    def _wrap(self, raw: int, ty: Type) -> int:
-        if not ty.is_scalar:
-            return raw
-        return intops.wrap(raw, scalar_bits(ty), is_signed(ty))
+        return int_value(self.value_of(value))
 
     # -- execution loop ---------------------------------------------------------
 
@@ -319,10 +437,10 @@ class _FrameInterp:
             self.values[instr.id] = ("maptok", found, value)
         elif isinstance(instr, ir.MapFound):
             token = self.value_of(instr.operands[0])
-            self.values[instr.id] = int(self._token(token)[1])
+            self.values[instr.id] = int(map_token(token)[1])
         elif isinstance(instr, ir.MapValue):
             token = self.value_of(instr.operands[0])
-            self.values[instr.id] = self._token(token)[2]
+            self.values[instr.id] = map_token(token)[2]
         elif isinstance(instr, ir.BloomOp):
             bloom = self.state.blooms.get(instr.ref.name)
             if bloom is None:
@@ -350,57 +468,28 @@ class _FrameInterp:
             raise PisaError(f"cannot interpret {instr.render()}")
         return None
 
-    @staticmethod
-    def _token(token) -> Tuple[str, bool, int]:
-        if not (isinstance(token, tuple) and token and token[0] == "maptok"):
-            raise PisaError("expected a Map lookup token")
-        return token  # type: ignore[return-value]
-
     def exec_load_elem(self, instr: ir.LoadElem) -> int:
-        array = self._array(instr.ref)
+        array = _global_array(self.state, instr.ref)
         idx = self.int_of(instr.index)
-        self._bounds(instr.ref, idx)
+        check_bounds(instr.ref, idx)
         return array[idx]
 
     def exec_store_elem(self, instr: ir.StoreElem) -> None:
-        array = self._array(instr.ref)
+        array = _global_array(self.state, instr.ref)
         idx = self.int_of(instr.index)
-        self._bounds(instr.ref, idx)
-        array[idx] = self._wrap(self.int_of(instr.value), instr.ref.elem_type)
-
-    def _array(self, ref: ir.GlobalRef) -> MutableSequence[int]:
-        array = self.state.arrays.get(ref.name)
-        if array is None:
-            raise PisaError(f"global {ref.name!r} not present on device")
-        return array
-
-    def _bounds(self, ref: ir.GlobalRef, idx: int) -> None:
-        if not 0 <= idx < ref.total_elements:
-            raise PisaError(
-                f"index {idx} out of range for {ref.name} "
-                f"[{ref.total_elements} elements]"
-            )
+        check_bounds(instr.ref, idx)
+        array[idx] = wrap_to(self.int_of(instr.value), instr.ref.elem_type)
 
     def exec_load_param(self, instr: ir.LoadParam) -> int:
         buf = self.value_of(instr.param)
-        idx = self.int_of(instr.index)
-        if isinstance(buf, int):  # scalar parameter, index must be 0
-            if idx != 0:
-                raise PisaError("indexing a scalar parameter")
-            return buf
-        try:
-            return int(buf[idx])  # type: ignore[index]
-        except IndexError:
-            raise PisaError(
-                f"window-data index {idx} out of range for {instr.param.name}"
-            ) from None
+        return load_param(buf, self.int_of(instr.index), instr.param.name)
 
     def exec_store_param(self, instr: ir.StoreParam) -> None:
         buf = self.value_of(instr.param)
         idx = self.int_of(instr.index)
         param_ty = instr.param.ty
         elem_ty = param_ty.pointee if isinstance(param_ty, PointerType) else param_ty
-        value = self._wrap(self.int_of(instr.value), elem_ty)
+        value = wrap_to(self.int_of(instr.value), elem_ty)
         try:
             buf[idx] = value  # type: ignore[index]
         except (IndexError, TypeError):
@@ -418,52 +507,18 @@ class _FrameInterp:
         return value
 
     def exec_memcpy(self, instr: ir.Memcpy) -> None:
-        nbytes = self.int_of(instr.nbytes)
-        dst_elem = sizeof(instr.dst.elem_type)
-        src_elem = sizeof(instr.src.elem_type)
-        if nbytes % dst_elem or nbytes % src_elem:
-            raise PisaError(
-                f"memcpy length {nbytes} not a multiple of element sizes "
-                f"({dst_elem}/{src_elem})"
-            )
-        if dst_elem != src_elem:
-            raise PisaError("memcpy between different element widths")
-        count = nbytes // dst_elem
-        src_vals = [
-            self._region_read(instr.src, self.int_of(instr.src_off) + i)
-            for i in range(count)
+        bufs = [
+            self.value_of(region.param) if region.kind == "param" else None
+            for region in (instr.dst, instr.src)
         ]
-        for i, value in enumerate(src_vals):
-            self._region_write(
-                instr.dst, self.int_of(instr.dst_off) + i, value
-            )
-
-    def _region_read(self, region: ir.MemRegion, idx: int) -> int:
-        if region.kind == "param":
-            buf = self.value_of(region.param)  # type: ignore[arg-type]
-            if isinstance(buf, int):
-                if idx != 0:
-                    raise PisaError("memcpy overruns scalar parameter")
-                return buf
-            return int(buf[idx])  # type: ignore[index]
-        ref = region.ref
-        assert ref is not None
-        self._bounds(ref, idx)
-        return self._array(ref)[idx]
-
-    def _region_write(self, region: ir.MemRegion, idx: int, value: int) -> None:
-        value = self._wrap(value, region.elem_type)
-        if region.kind == "param":
-            buf = self.value_of(region.param)  # type: ignore[arg-type]
-            try:
-                buf[idx] = value  # type: ignore[index]
-            except (IndexError, TypeError):
-                raise PisaError("memcpy overruns parameter buffer") from None
-            return
-        ref = region.ref
-        assert ref is not None
-        self._bounds(ref, idx)
-        self._array(ref)[idx] = value
+        memcpy(
+            self.state,
+            instr,
+            self.value_of(instr.nbytes),
+            self.value_of(instr.dst_off),
+            self.value_of(instr.src_off),
+            *bufs,
+        )
 
     def exec_call(self, instr: ir.CallFn):
         args = [self.value_of(op) for op in instr.operands]

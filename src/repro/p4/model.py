@@ -4,7 +4,7 @@ This is nclc's code-generation target: a program for a PISA switch,
 structured the way P4-16 programs are -- header types, a programmable
 parser, match-action tables, actions built from primitive operations,
 register extern arrays, and a deparser. The :mod:`repro.pisa` package
-interprets this model bmv2-style; :mod:`repro.p4.printer` renders it as
+executes this model bmv2-style; :mod:`repro.p4.printer` renders it as
 ``.p4``-flavoured source; :mod:`repro.p4.backend` checks it against a
 chip profile and accepts or rejects (paper S5: "The final P4 program is
 given to a P4 backend to eventually accept/reject it").
@@ -256,6 +256,10 @@ class Table:
     the program text), ``"control-plane"`` (e.g. the tables backing
     ``ncl::Map`` or IPv4 routes). The PISA simulator treats them the
     same; the distinction feeds the printer and the docs.
+
+    Entries change only through :meth:`add_entry`, :meth:`remove_entries`
+    and :meth:`remove_match`, which keep an all-exact table's
+    ``exact_index`` up to date.
     """
 
     def __init__(
@@ -277,19 +281,70 @@ class Table:
         self.actions = list(actions)
         self.default_action = default_action
         self.default_args = list(default_args)
-        self.entries = entries if entries is not None else []
         self.managed_by = managed_by
         self.size = size
+        self._entries: List[TableEntry] = []
+        #: all-exact tables only (else None): key tuple -> the entries with
+        #: that key, best first (highest priority, then first inserted).
+        #: The dict object is never replaced, so compiled pipelines hold it.
+        self.exact_index: Optional[Dict[tuple, List[TableEntry]]] = (
+            {} if all(kind == "exact" for _, kind in self.keys) else None
+        )
+        for entry in entries or ():
+            self._insert(entry)
+
+    @property
+    def entries(self) -> Tuple[TableEntry, ...]:
+        """All entries, in insertion order."""
+        return tuple(self._entries)
 
     def add_entry(self, entry: TableEntry) -> None:
-        if len(self.entries) >= self.size:
+        if len(self._entries) >= self.size:
             raise PisaError(f"table {self.name} full ({self.size} entries)")
-        self.entries.append(entry)
+        self._insert(entry)
 
     def remove_entries(self, predicate) -> int:
-        before = len(self.entries)
-        self.entries = [e for e in self.entries if not predicate(e)]
-        return before - len(self.entries)
+        kept = [e for e in self._entries if not predicate(e)]
+        removed = len(self._entries) - len(kept)
+        if removed:
+            self._entries = kept
+            if self.exact_index is not None:
+                self.exact_index.clear()
+                for entry in kept:
+                    self._index(entry)
+        return removed
+
+    def remove_match(self, match: Sequence) -> int:
+        """Remove every entry whose match is *match* (found through the
+        index in an all-exact table)."""
+        if self.exact_index is None:
+            return self.remove_entries(lambda e: list(e.match) == list(match))
+        group = self.exact_index.pop(self._key(match), [])
+        for entry in group:
+            self._entries.remove(entry)
+        return len(group)
+
+    def _insert(self, entry: TableEntry) -> None:
+        if len(entry.match) != len(self.keys):
+            raise PisaError(f"table {self.name}: malformed entry {entry!r}")
+        if self.exact_index is not None:
+            self._index(entry)
+        self._entries.append(entry)
+
+    def _index(self, entry: TableEntry) -> None:
+        group = self.exact_index.setdefault(self._key(entry.match), [])  # type: ignore[union-attr]
+        pos = len(group)
+        while pos and group[pos - 1].priority < entry.priority:
+            pos -= 1
+        group.insert(pos, entry)
+
+    def _key(self, match: Sequence) -> tuple:
+        key = tuple(match)
+        try:
+            hash(key)
+        except TypeError:
+            raise PisaError(f"table {self.name}: unhashable exact-match key {key!r}") from None
+        return key
 
     def __repr__(self) -> str:
         return f"Table({self.name}, keys={self.keys}, {len(self.entries)} entries)"

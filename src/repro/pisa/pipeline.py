@@ -1,10 +1,16 @@
-"""The match-action pipeline interpreter.
+"""The match-action pipeline.
 
 Executes a :class:`P4Program`'s control block over a PHV, bmv2-style:
 expressions are evaluated by the ALU model with fixed-width wrapping,
 tables match exact/ternary keys, actions run primitives in order, and
 register arrays provide stateful memory. Collects per-table/per-action
 statistics for the benchmarks.
+
+:meth:`Pipeline.run` executes the control block as Python generated from
+it on the first packet (:mod:`repro.pisa.compile`).
+:meth:`Pipeline.reference_run` and its helpers (``apply_table``,
+``run_action``, ``eval_expr``) walk the program node by node; they are the
+oracle the generated code is tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from repro.p4.model import (
     Table,
     TableEntry,
 )
+from repro.pisa.compile import compile_control
 from repro.pisa.phv import Phv
 from repro.util import intops
 
@@ -100,6 +107,7 @@ class Pipeline:
         #: tables matched (hit) by the most recent run() -- the per-hop
         #: "tables" field of an INT record (repro.obs.int)
         self.last_tables_matched = 0
+        self._compiled = None  # run()'s code, built on the first packet
 
     # -- expression evaluation ------------------------------------------------
 
@@ -183,8 +191,6 @@ class Pipeline:
     def _match(table: Table, key: List[int]) -> Optional[TableEntry]:
         best: Optional[TableEntry] = None
         for entry in table.entries:
-            if len(entry.match) != len(key):
-                raise PisaError(f"table {table.name}: malformed entry {entry!r}")
             hit = True
             for (ref_kind, pattern, value) in zip(table.keys, entry.match, key):
                 kind = ref_kind[1]
@@ -204,6 +210,12 @@ class Pipeline:
     # -- control -------------------------------------------------------------------
 
     def run(self, phv: Phv) -> None:
+        code = self._compiled
+        if code is None:
+            code = self._compiled = compile_control(self.program)
+        code(self, phv)
+
+    def reference_run(self, phv: Phv) -> None:
         self.stats.packets += 1
         self.last_tables_matched = 0
         self._run_nodes(self.program.control, phv)

@@ -117,15 +117,14 @@ class PisaSwitch:
             raise PisaError(f"unknown table {table!r}")
         if action not in tbl.actions:
             raise PisaError(f"table {table}: action {action!r} not allowed")
-        # Replace an existing exact-match entry with the same key.
-        tbl.remove_entries(lambda e: list(e.match) == list(match))
+        tbl.remove_match(match)  # replaces an entry with the same key
         tbl.add_entry(TableEntry(list(match), action, list(args), priority))
 
     def table_delete(self, table: str, match: Sequence) -> int:
         tbl = self.program.tables.get(table)
         if tbl is None:
             raise PisaError(f"unknown table {table!r}")
-        return tbl.remove_entries(lambda e: list(e.match) == list(match))
+        return tbl.remove_match(match)
 
     def table_entries(self, table: str) -> List[TableEntry]:
         tbl = self.program.tables.get(table)

@@ -11,8 +11,9 @@ This implements the paper's two host APIs (S4.1):
 On the receive path, incoming windows are matched to the outgoing kernel
 that produced them (NCP carries the kernel id) and dispatched to the
 paired ``_net_ _in_`` kernel registered via :meth:`NclHost.register_in`;
-the incoming kernel runs in the NIR interpreter with the window chunks
-and the caller's ``_ext_`` buffers as arguments. Raw window handlers are
+the incoming kernel runs as compiled NIR (``Interpreter.run``; the code is
+generated once per kernel and shared by every host of the deployment)
+with the window chunks and the caller's ``_ext_`` buffers as arguments. Raw window handlers are
 available for application roles that are not plain receivers (e.g. the
 KVS storage server answering GET misses).
 """

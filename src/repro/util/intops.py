@@ -7,9 +7,9 @@ every arithmetic result is normalized through these helpers.
 The op table at the end (``BINOPS``, ``UNOPS``, ``CASTS``) is the one
 definition of every NIR operation, and ``c_binop``/``C_UNOPS``/
 ``cast_kind`` the one mapping from C operators and conversions onto it.
-The NIR interpreter, the PISA ALU model, constant folding, loop
-unrolling, the parser's constant evaluator and host ``main()`` all
-execute through it; the abstract interpreter's transfer functions are
+NIR execution (compiled and reference), the PISA ALU model (compiled
+and reference), constant folding, loop unrolling, the parser's constant
+evaluator and host ``main()`` all execute through it; the abstract interpreter's transfer functions are
 tested against it.
 """
 

@@ -40,6 +40,11 @@ def clone_state(state: DeviceState) -> DeviceState:
     return new
 
 
+def observable_state(state: DeviceState) -> Dict[str, object]:
+    """Everything a kernel run can change in *state*."""
+    return {**state.snapshot(), "blooms": {k: list(b.bits) for k, b in state.blooms.items()}}
+
+
 def random_args(fn: ir.Function, rng, chunk_len: int = 4) -> List:
     """Random window-data argument bindings for a kernel's parameters."""
     args: List = []
@@ -58,6 +63,50 @@ def random_args(fn: ir.Function, rng, chunk_len: int = 4) -> List:
             hi = (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
             args.append(rng.randint(lo, hi))
     return args
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as exc:  # the outcome under comparison
+        return None, exc
+
+
+def run_both(
+    module: ir.Module,
+    kernel: str,
+    state: DeviceState,
+    meta: Dict[str, int],
+    args: List,
+    location_id: int = 0,
+    location_labels: Optional[Dict[str, int]] = None,
+):
+    """Run *kernel* through ``Interpreter.run`` and, on clones of *state*
+    and *args*, through ``Interpreter.reference_run``. Both must have the
+    same outcome: the same result, window data and device state, or an
+    error of the same type and message (device state may then differ).
+    Returns the compiled run's result, or raises its error."""
+    fn = module.functions[kernel]
+    oracle_state, oracle_args = clone_state(state), copy.deepcopy(args)
+    expected, expected_exc = _outcome(
+        lambda: Interpreter(module, oracle_state).reference_run(
+            fn, WindowContext(meta, oracle_args, location_id, location_labels)
+        )
+    )
+    got, got_exc = _outcome(
+        lambda: Interpreter(module, state).run(
+            fn, WindowContext(meta, args, location_id, location_labels)
+        )
+    )
+    if got_exc is not None or expected_exc is not None:
+        assert (type(got_exc), str(got_exc)) == (type(expected_exc), str(expected_exc))
+        raise got_exc
+    assert (got.fwd, got.fwd_label, got.ret) == (
+        expected.fwd, expected.fwd_label, expected.ret
+    )
+    assert args == oracle_args
+    assert observable_state(state) == observable_state(oracle_state)
+    return got
 
 
 def observe(

@@ -10,9 +10,13 @@ from repro.ncl.types import PointerType, is_signed, scalar_bits
 from repro.nclc import Compiler, WindowConfig
 from repro.ncp.wire import decode_frame, encode_frame
 from repro.nir import ir
-from repro.nir.interp import DeviceState, Interpreter, WindowContext
-from repro.pisa.switch_dev import PisaSwitch
+from repro.nir.interp import DeviceState
+from repro.p4.model import FWD_PASS, META_FWD, META_FWD_LABEL, NO_LABEL
+from repro.pisa.pipeline import Pipeline, RegisterState
+from repro.pisa.switch_dev import FWD_NAMES, PisaSwitch
 from repro.util import intops
+
+from tests.diffutil import run_both
 
 from tests.conftest import (
     ALLREDUCE_DEFINES,
@@ -31,17 +35,32 @@ _FWD_NAME = {
 }
 
 
+def clone_registers(registers: RegisterState) -> RegisterState:
+    new = RegisterState(registers.program)
+    new.arrays = {name: list(values) for name, values in registers.arrays.items()}
+    return new
+
+
 class DifferentialRig:
-    """Runs the same window stream through (a) the compiled P4 program on
-    a PisaSwitch and (b) the NIR interpreter, comparing everything."""
+    """Runs the same window stream through every executor of the kernel and
+    compares everything they observe:
+
+    * the P4 program on a PisaSwitch, whose pipeline runs compiled code;
+    * ``Pipeline.reference_run`` on a clone of the parsed PHV and of the
+      switch registers taken before that run;
+    * ``Interpreter.run`` (compiled NIR) on the reference device state, and
+      ``Interpreter.reference_run`` on a clone of that state and window
+      (``tests.diffutil.run_both``).
+    """
 
     def __init__(self, program, kernel: str, location: str = "s1"):
         self.program = program
         self.kernel = kernel
         self.layout = program.layouts[kernel]
         self.switch = PisaSwitch(program.switch_programs[location], location)
+        # Shares the program (so table entries) and mirrors the switch's stats.
+        self.ref_pipeline = Pipeline(self.switch.program)
         self.state = DeviceState.from_module(program.ref_module, location=location)
-        self.interp = Interpreter(program.ref_module, self.state)
         self.fn = program.ref_module.functions[kernel]
         self.location_id = program.and_spec.node(location).node_id
         self.label_ids = program.label_ids
@@ -81,10 +100,16 @@ class DifferentialRig:
             last=bool(meta.get("last", 0)),
             from_node=meta.get("from", src),
         )
+        ref_phv = self.switch.parser.parse(frame)
+        ref_phv.write(META_FWD, FWD_PASS)
+        ref_phv.write(META_FWD_LABEL, NO_LABEL)
+        self.ref_pipeline.registers = clone_registers(self.switch.registers)
         result = self.switch.process(frame)
         hw_chunks = decode_frame(result.data, {self.layout.kernel_id: self.layout}).chunks
+        self.ref_pipeline.reference_run(ref_phv)
+        self.compare_pipelines(result, ref_phv)
 
-        # --- reference path ---
+        # --- NIR paths ---
         args = []
         ref_chunks = []
         data_params = [p for p in self.fn.params if not p.ext]
@@ -96,8 +121,10 @@ class DifferentialRig:
             else:
                 ref_chunks.append(list(chunk))
                 args.append(chunk[0])
-        ctx = WindowContext(dict(meta), args, self.location_id, self.label_ids)
-        ref_result = self.interp.run(self.fn, ctx)
+        ref_result = run_both(
+            self.program.ref_module, self.kernel, self.state, dict(meta), args,
+            self.location_id, self.label_ids,
+        )
 
         assert result.verdict == _FWD_NAME[ref_result.fwd], (
             f"verdict mismatch for meta={meta}: hw={result.verdict} "
@@ -113,6 +140,23 @@ class DifferentialRig:
                 )
         self.compare_state()
         return result
+
+    def compare_pipelines(self, result, ref_phv):
+        """Compiled pipeline == reference pipeline: verdict, output packet,
+        registers, stats and tables matched."""
+        pipeline = self.switch.pipeline
+        label = ref_phv.read(META_FWD_LABEL)
+        assert (result.verdict, result.label_id) == (
+            FWD_NAMES[ref_phv.read(META_FWD)], None if label == NO_LABEL else label
+        ), "compiled pipeline verdict diverged from reference_run"
+        assert result.data == self.switch.deparser.deparse(ref_phv), (
+            "compiled pipeline output packet diverged from reference_run"
+        )
+        assert pipeline.registers.arrays == self.ref_pipeline.registers.arrays, (
+            "compiled pipeline registers diverged from reference_run"
+        )
+        assert pipeline.stats.as_dict() == self.ref_pipeline.stats.as_dict()
+        assert pipeline.last_tables_matched == self.ref_pipeline.last_tables_matched
 
     def compare_state(self):
         for name, ref_values in self.state.arrays.items():

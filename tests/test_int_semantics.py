@@ -4,10 +4,12 @@
 every (op, signedness) pair that ``nir/lower.py`` emits through each
 executor and requires the table's answer (or its trap) from all of them:
 
-* the NIR interpreter (``Interpreter.run`` on a one-instruction function);
+* NIR execution on a one-instruction function, compiled
+  (``Interpreter.run``) and stepped (``Interpreter.reference_run``);
 * constant folding (``fold_constants`` on constant operands);
-* the PISA ALU (``Pipeline.eval_expr`` on the expression the P4 backend
-  generates; PHV fields hold unsigned patterns);
+* the PISA ALU on the expression the P4 backend generates, evaluated by
+  ``Pipeline.eval_expr`` and, at 4 bits, by the code ``Pipeline.run``
+  generates (PHV fields hold unsigned patterns);
 * host ``main()`` (``HostProgram`` evaluating the AST).
 
 Operands are exhaustive at 4 bits. At 8 bits unary ops and casts from
@@ -29,7 +31,8 @@ from repro.nclc.codegen import KernelCodegen
 from repro.nir import ir
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
 from repro.nir.passes.constfold import fold_constants
-from repro.p4.model import PConst, PUn
+from repro.p4.model import Action, Do, P4Program, PAssign, PConst, PUn
+from repro.pisa.phv import Phv
 from repro.pisa.pipeline import Pipeline
 from repro.runtime import Cluster, HostProgram
 from repro.util import intops
@@ -70,7 +73,8 @@ def outcome(fn, *args):
 
 
 def nir_function(make_instr, *types):
-    """``f(a, ...) { return make_instr(a, ...); }`` and a runner for it."""
+    """``f(a, ...) { return make_instr(a, ...); }`` and runners for it:
+    compiled, and stepped by the reference interpreter."""
     params = [ir.Param(i, f"p{i}", ty) for i, ty in enumerate(types)]
     instr = make_instr(*params)
     fn = ir.Function("f", ir.FunctionKind.HELPER, params, instr.ty)
@@ -78,7 +82,10 @@ def nir_function(make_instr, *types):
     entry.append(instr)
     entry.append(ir.Ret(instr))
     interp = Interpreter(None, DeviceState())
-    return lambda *values: interp.run(fn, WindowContext({}, values)).ret
+    return (
+        lambda *values: interp.run(fn, WindowContext({}, values)).ret,
+        lambda *values: interp.reference_run(fn, WindowContext({}, values)).ret,
+    )
 
 
 def run_constfold(instr):
@@ -99,7 +106,21 @@ PIPELINE = object.__new__(Pipeline)
 
 def run_pisa(pexpr, ty):
     """Evaluate on the PISA ALU and read the PHV pattern back as *ty*."""
-    pattern = PIPELINE.eval_expr(pexpr, None, {})
+    return as_type(PIPELINE.eval_expr(pexpr, None, {}), ty)
+
+
+def run_pisa_compiled(pexpr, ty):
+    """The same through the code ``Pipeline.run`` generates."""
+    program = P4Program("alu")
+    program.add_metadata("out", 64)
+    program.add_action(Action("eval", [PAssign("meta.out", pexpr)]))
+    program.control = [Do("eval")]
+    phv = Phv(program)
+    Pipeline(program).run(phv)
+    return as_type(phv.read("meta.out"), ty)
+
+
+def as_type(pattern, ty):
     return intops.wrap(pattern, ty.bits, ty.signed) if isinstance(ty, IntType) else pattern
 
 
@@ -137,7 +158,7 @@ def test_binary_ops_agree(host, bits):
     checked = set()
     for c_op, op, ty, pairs in binary_cases(bits):
         checked.add((op, ty.signed))
-        run_nir = nir_function(lambda a, b: ir.BinOp(op, a, b, ty), ty, ty)
+        run_nir, run_nir_ref = nir_function(lambda a, b: ir.BinOp(op, a, b, ty), ty, ty)
         x, y = ident("x", ty), ident("y", ty)
         if c_op in C_COMPARES:
             host_expr = ast.Binary(None, c_op, x, y)
@@ -151,10 +172,15 @@ def test_binary_ops_agree(host, bits):
             instr = ir.BinOp(op, ir.Const(ty, a), ir.Const(ty, b), ty)
             got = {
                 "nir": outcome(run_nir, a, b),
+                "nir reference": outcome(run_nir_ref, a, b),
                 "host": outcome(run_host, host, host_expr, {"x": a, "y": b}),
             }
             if op not in DIVISIONS:  # the PISA ALU has no divider
                 got["pisa"] = run_pisa(CODEGEN._binop_expr(instr), instr.ty)
+                if bits == 4:
+                    got["pisa compiled"] = run_pisa_compiled(
+                        CODEGEN._binop_expr(instr), instr.ty
+                    )
             got["constfold"] = run_constfold(instr)
             for leg, value in got.items():
                 assert value == want, f"{leg}: {a} {op}/{bits}/{ty.signed} {b}"
@@ -164,9 +190,9 @@ def test_binary_ops_agree(host, bits):
 
 def test_negative_shift_traps_in_software(host):
     ty = int_type(8, True)
-    run_nir = nir_function(lambda a, b: ir.BinOp("shl", a, b, ty), ty, ty)
-    with pytest.raises(ReproError, match="negative shift"):
-        run_nir(1, -1)
+    for run_nir in nir_function(lambda a, b: ir.BinOp("shl", a, b, ty), ty, ty):
+        with pytest.raises(ReproError, match="negative shift"):
+            run_nir(1, -1)
     with pytest.raises(ReproError, match="negative shift"):
         run_host(host, ast.Assign(None, "<<=", ident("x", ty), ident("y", ty)),
                  {"x": 1, "y": -1})
@@ -186,17 +212,17 @@ def test_unary_ops_agree(host, bits, c_op, signed):
     x = ident("x", ty)
     host_expr = ast.Unary(None, c_op, x)
     host_expr.ty = BOOL if op == "lnot" else ty
-    run_nir = nir_function(lambda a: ir.UnOp(op, a, ty), ty)
+    run_nir, run_nir_ref = nir_function(lambda a: ir.UnOp(op, a, ty), ty)
     for a in type_values(bits, ty.signed):
         want = intops.UNOPS[op](a, bits, ty.signed)
         instr = ir.UnOp(op, ir.Const(ty, a), ty)
+        # the P4 backend emits PUn at the instruction's width
+        pexpr = PUn(op, PConst(intops.to_unsigned(a, bits), bits), scalar_bits(instr.ty))
         got = {
             "nir": run_nir(a),
-            # the P4 backend emits PUn at the instruction's width
-            "pisa": run_pisa(
-                PUn(op, PConst(intops.to_unsigned(a, bits), bits), scalar_bits(instr.ty)),
-                instr.ty,
-            ),
+            "nir reference": run_nir_ref(a),
+            "pisa": run_pisa(pexpr, instr.ty),
+            "pisa compiled": run_pisa_compiled(pexpr, instr.ty),
             "host": run_host(host, host_expr, {"x": a}),
             "constfold": run_constfold(instr),
         }
@@ -231,17 +257,20 @@ def test_casts_agree(host, bits):
         dst_bits, dst_signed = scalar_bits(dst), is_signed(dst)
         kind = intops.cast_kind(src.bits, src.signed, dst_bits, dst == BOOL)
         kinds.add(kind)
-        run_nir = nir_function(lambda a: ir.Cast(kind, a, dst), src)
+        run_nir, run_nir_ref = nir_function(lambda a: ir.Cast(kind, a, dst), src)
         host_expr = ast.Cast(None, dst, ident("x", src))
         for a in values:
             want = intops.CASTS[kind](a, src.bits, dst_bits, dst_signed)
             instr = ir.Cast(kind, ir.Const(src, a), dst)
             got = {
                 "nir": run_nir(a),
+                "nir reference": run_nir_ref(a),
                 "pisa": run_pisa(CODEGEN._cast_expr(instr), dst),
                 "host": run_host(host, host_expr, {"x": a}),
                 "constfold": run_constfold(instr),
             }
+            if bits == 4:
+                got["pisa compiled"] = run_pisa_compiled(CODEGEN._cast_expr(instr), dst)
             for leg, value in got.items():
                 assert value == want, f"{leg}: {kind} {src!r}->{dst!r} {a}"
     assert kinds == set(intops.CASTS)

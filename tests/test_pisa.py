@@ -1,5 +1,7 @@
 """PISA simulator: parser/deparser bit accuracy, pipeline, tables, registers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from repro.p4.model import (
     PBin,
     PConst,
     PField,
+    PMux,
     PParam,
     PRegRead,
     PRegWrite,
@@ -307,3 +310,188 @@ class TestSwitchDevice:
         sw = PisaSwitch(p)
         with pytest.raises(PisaError, match="not allowed"):
             sw.table_insert("t", [1], "a2")
+
+
+class TestExactIndex:
+    """``Table.exact_index`` is what the compiled pipeline looks up for an
+    all-exact table; it must pick what the reference priority scan picks."""
+
+    KEY = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), KEY, st.integers(0, 2)),
+            st.tuples(st.just("remove_match"), KEY),
+            st.tuples(st.just("remove_priority"), st.integers(0, 2)),
+        ),
+        max_size=40,
+    )
+
+    @given(OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_index_lookup_equals_priority_scan(self, ops):
+        table = Table("t", [("h.a", "exact"), ("h.b", "exact")], ["a"], "a", size=100)
+        for n, op in enumerate(ops):
+            if op[0] == "add":  # duplicate keys and priority ties included
+                table.add_entry(TableEntry(list(op[1]), "a", [n], priority=op[2]))
+            elif op[0] == "remove_match":
+                table.remove_match(op[1])
+            else:
+                table.remove_entries(lambda e: e.priority == op[1])
+            for a in range(3):
+                for b in range(3):
+                    group = table.exact_index.get((a, b))
+                    best = group[0] if group else None
+                    assert best is Pipeline._match(table, [a, b])
+            indexed = [e for group in table.exact_index.values() for e in group]
+            assert sorted(map(id, indexed)) == sorted(map(id, table.entries))
+
+    def test_only_all_exact_tables_are_indexed(self):
+        assert Table("t", [("h.a", "exact"), ("h.b", "ternary")], [], "a").exact_index is None
+        assert Table("t", [], [], "a").exact_index == {}
+
+    @pytest.mark.parametrize("kind", ["exact", "ternary"])
+    def test_malformed_entry_rejected_at_insert(self, kind):
+        table = Table("t", [("h.a", kind)], ["a"], "a")
+        with pytest.raises(PisaError, match="malformed entry"):
+            table.add_entry(TableEntry([1, 2], "a"))
+        with pytest.raises(PisaError, match="malformed entry"):
+            Table("t", [("h.a", kind)], ["a"], "a", entries=[TableEntry([], "a")])
+        assert table.entries == ()
+
+    def test_switch_replaces_exact_entries_through_the_index(self, monkeypatch):
+        p = tiny_program()
+        p.add_action(Action("a1", [], params=[("v", 8)]))
+        p.add_table(Table("t", [("h.a", "exact")], ["a1"], "a1", default_args=[0]))
+        sw = PisaSwitch(p)
+
+        def scan(self, predicate):
+            raise AssertionError("full-list predicate scan")
+
+        monkeypatch.setattr(Table, "remove_entries", scan)
+        sw.table_insert("t", [1], "a1", [5])
+        sw.table_insert("t", [2], "a1", [6])
+        sw.table_insert("t", [1], "a1", [7])
+        assert [(e.match, e.args) for e in sw.table_entries("t")] == [([2], [6]), ([1], [7])]
+        assert sw.table_delete("t", [2]) == 1
+        assert p.tables["t"].exact_index == {(1,): sw.table_entries("t")}
+
+
+class _Recorder:
+    """An observer recording the callbacks the pipeline makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def table(self, name, hit, action):
+        self.calls.append(("table", name, hit, action))
+
+    def action(self, name):
+        self.calls.append(("action", name))
+
+
+class TestCompiledControl:
+    """``Pipeline.run`` (generated code) against ``Pipeline.reference_run``
+    on random control blocks and packets: the same error or none, and the
+    same PHV, registers, stats, tables matched and observer calls."""
+
+    FIELDS = {"h.a": 8, "h.b": 16, "h.c": 8, "g.x": 32, "meta.m8": 8, "meta.m16": 16, "meta.m32": 32}
+    BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr",
+              "udiv", "urem", "eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sge"]
+
+    def program(self, rng):
+        p = tiny_program()
+        p.add_header(HeaderType("g_t", [("x", 32)]), "g")
+        for name in ("m8", "m16", "m32"):
+            p.add_metadata(name, int(name[1:]))
+        p.add_register(RegisterArray("r16", 16, 4))
+        p.add_register(RegisterArray("r32", 32, 8))
+        for i in range(4):
+            params = [("v", 16)] if i % 2 else []
+            p.add_action(Action(f"a{i}", self.primitives(rng, params), params=params))
+        p.add_table(Table("te", [("h.a", "exact")], ["a1", "a3"], "a0"))
+        p.add_table(Table("tt", [("h.b", "ternary"), ("h.c", "exact")], ["a1", "a3"], "a3",
+                          default_args=[rng.randrange(1 << 16)]))
+        for _ in range(4):
+            p.tables["te"].add_entry(TableEntry([rng.randrange(4)], rng.choice(["a1", "a3"]),
+                                                [rng.randrange(1 << 16)], rng.randrange(2)))
+            p.tables["tt"].add_entry(TableEntry([(rng.randrange(4), rng.randrange(4)), rng.randrange(4)],
+                                                rng.choice(["a1", "a3"]), [rng.randrange(1 << 16)],
+                                                rng.randrange(2)))
+        p.control = self.nodes(rng, depth=2)
+        return p
+
+    def nodes(self, rng, depth):
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(4 if depth else 2)
+            if kind == 0:
+                out.append(Apply(rng.choice(["te", "tt"])))
+            elif kind == 1:
+                out.append(Do(rng.choice(["a0", "a2"])))
+            else:
+                out.append(IfNode(self.expr(rng, 2, []), self.nodes(rng, depth - 1),
+                                  self.nodes(rng, depth - 1)))
+        return out
+
+    def primitives(self, rng, params):
+        prims = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            dst = rng.choice(["h.b", "meta.m8", "meta.m16", "meta.m32"])
+            if kind == 0:
+                prims.append(PAssign(dst, self.expr(rng, 2, params)))
+            elif kind == 1:
+                prims.append(PRegRead(dst, rng.choice(["r16", "r32"]), self.index(rng, params)))
+            else:
+                prims.append(PRegWrite(rng.choice(["r16", "r32"]), self.index(rng, params),
+                                       self.expr(rng, 2, params)))
+        return prims
+
+    def index(self, rng, params):
+        """A register index, in range [0, 4) but now and then."""
+        index = self.expr(rng, 1, params)
+        return index if rng.random() < 0.1 else PBin("and", index, PConst(3, 8), 8)
+
+    def expr(self, rng, depth, params):
+        kind = rng.randrange(6 if depth else 3)
+        bits = rng.choice([8, 16, 32])
+        if kind == 0:
+            return PConst(rng.randrange(-4, 1 << 9), bits)
+        if kind == 1:
+            return PField(rng.choice(list(self.FIELDS) + ["valid.h", "valid.g"]))
+        if kind == 2:
+            return PParam(params[0][0], 16) if params else PConst(rng.randrange(8), 8)
+        if kind == 3:
+            return PBin(rng.choice(self.BINOPS), self.expr(rng, depth - 1, params),
+                        self.expr(rng, depth - 1, params), bits)
+        if kind == 4:
+            return PMux(self.expr(rng, depth - 1, params), self.expr(rng, depth - 1, params),
+                        self.expr(rng, depth - 1, params), bits)
+        return PUn(rng.choice(["neg", "not", "lnot"]), self.expr(rng, depth - 1, params), bits)
+
+    @staticmethod
+    def outcome(run, pipe, phv):
+        observer = _Recorder()
+        pipe.observer = observer
+        try:
+            run(phv)
+            error = None
+        except (PisaError, ZeroDivisionError) as exc:
+            error = (type(exc), str(exc))
+        # Both stop at the same point on an error, so even then the state agrees.
+        return (error, phv.fields, pipe.registers.arrays, pipe.stats.as_dict(),
+                pipe.last_tables_matched, observer.calls)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_compiled_equals_reference(self, seed):
+        rng = random.Random(seed)
+        p = self.program(rng)
+        compiled, reference = Pipeline(p), Pipeline(p)
+        for _ in range(12):
+            phv = Phv(p)
+            phv.set_valid("h")
+            phv.set_valid("g", rng.random() < 0.8)
+            for ref in ("h.a", "h.b", "h.c"):
+                phv.write(ref, rng.randrange(4) if rng.random() < 0.7 else rng.randrange(1 << 16))
+            expected = self.outcome(reference.reference_run, reference, phv.clone())
+            assert self.outcome(compiled.run, compiled, phv) == expected

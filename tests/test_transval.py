@@ -62,6 +62,24 @@ class TestValidatorIsGreen:
         assert again.switch_modules
 
 
+    def test_verify_opt_runs_on_the_reference_interpreter(self, monkeypatch, tmp_path):
+        """The validator checks the optimizer with the oracle, never with
+        the compiled NIR executor: with that executor broken, a verified
+        -O2 build of Fig 4 still passes."""
+        from repro.nclc.__main__ import main as nclc_main
+        from repro.nir import compile as nir_compile
+
+        def broken(self):
+            raise AssertionError("the NIR compiler ran under --verify-opt")
+
+        monkeypatch.setattr(nir_compile._FunctionCompiler, "build", broken)
+        src = REPO / "examples" / "fig4_allreduce.ncl"
+        code = nclc_main(
+            ["build", str(src), "-O2", "--verify-opt", "-o", str(tmp_path / "out")]
+        )
+        assert code == 0
+
+
 def _corrupt_storefwd(monkeypatch):
     """Make the store-forwarding pass flip the first add into a sub."""
     original = passes.NIR_PASSES["storefwd"].fn
